@@ -17,7 +17,8 @@ from .arnold import ArnoldModule, arnold_presentation
 from .coinvariants import (MultiIndex, coinvariant_dual_map,
                            coinvariant_table)
 from .complexes import (check_inductive, complex_homology, find_N,
-                        poset_colimit, verify_chain_homotopy)
+                        homology_field_table, poset_colimit,
+                        verify_chain_homotopy)
 from .dimensions import DimensionTable, dimension_table, \
     fit_polynomial, tail_equal
 from .functors import (derivative, generation_degree, saturate,
@@ -262,11 +263,12 @@ def cmd_homology(args) -> Report:
         rep.note("slices carry torsion over Z: reporting field-wise "
                  "dimensions (universal-coefficients caveat: integer "
                  "homology is not determined by these alone)")
-        for ring in [QQ] + [GF(q) for q in primes]:
-            fp = FIPresentation.from_document(p.to_document(), ring=ring)
-            res = complex_homology(fp, args.n, positions)
-            dims = {a: inv.free_rank for a, inv in sorted(res.positions.items())}
-            rep.note(f"over {ring.name}: {json.dumps(dims, sort_keys=True)}")
+        doc = p.to_document()
+        srcs = {ring.name: FIPresentation.from_document(doc, ring=ring)
+                for ring in [QQ] + [GF(q) for q in primes]}
+        for name, dims in homology_field_table(srcs, args.n,
+                                               positions).items():
+            rep.note(f"over {name}: {json.dumps(dims, sort_keys=True)}")
         rep.check("homology", "pass", "field-wise table emitted")
         return rep
     res = complex_homology(p, args.n, positions)

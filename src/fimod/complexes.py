@@ -54,9 +54,6 @@ class SignedShiftSlice:
     def offset(self, idx: int) -> int:
         return idx * self.summand.ambient
 
-    def subset_index(self, t: tuple[int, ...]) -> int:
-        return self.subsets.index(t)
-
 
 def signed_shift_slice(src, a: int, n: int) -> SignedShiftSlice:
     """Level-a piece of the signed complex at degree n."""
@@ -385,10 +382,11 @@ def poset_colimit(src, n: int, cutoff: int, mode: str = "full") -> PosetColimit:
             ti = obj_index.get(s2)
             if ti is None:
                 continue
-            block = src.induced_matrix(position_injection(s, s2))
+            block_cols = src.induced_matrix(
+                position_injection(s, s2)).columns()
             for k in range(slices[oi].ambient):
                 col = {offsets[oi] + k: ring.one}
-                for r, v in block.column(k).items():
+                for r, v in block_cols[k].items():
                     key = offsets[ti] + r
                     cur = col.get(key, ring.zero)
                     cur = ring.sub(cur, v)

@@ -51,9 +51,6 @@ class ShiftDecomposition:
     labels: tuple[ShiftLabel, ...]
     original: FIPresentation
 
-    def label_index(self, label: ShiftLabel) -> int:
-        return self.labels.index(label)
-
 
 def _shift_labels(p: FIPresentation, a: int) -> list[ShiftLabel]:
     labels = []

@@ -1,15 +1,40 @@
 """Sparse exact matrices and elimination over Q, F_p and Z.
 
 Storage is a dict mapping (row, col) to a nonzero scalar of the matrix's
-ring. Rank is computed by plain Gaussian elimination over F_p and by
-fraction-free integer elimination (content-gcd reduced, min-|pivot|
-preference) over Q and Z; rational inputs are row-scaled to integers first,
-which does not change rank. Field-side solving, kernels and span membership
-run on Fraction / mod-p arithmetic directly.
+ring.
+
+Every sparse elimination runs through one `SparseEliminator`: rank over
+F_p, fraction-free rank over Q and Z, unit-pivot stripping before a Smith
+normal form, and field rref. It keeps row dicts plus a column -> rows index.
+The next pivot row is the shortest one left, taken from a lazy min-heap of
+(len(row), row id). An entry is stale when its row is gone or has changed
+length, and every row an elimination updates is pushed again, so finding a
+pivot costs heap pops instead of a scan over every row. A small
+`PivotPolicy` per mode picks the pivot column and updates the target rows:
+
+- rank over F_p: the row's column held by the fewest rows (Markowitz) and
+  mod-p row operations. Matrices above 50% fill use dense elimination.
+- rank over Q and Z: fraction-free integer rows, each divided by its
+  content gcd after every update; pivot columns unit first, then fewest
+  rows, then smallest |value|. Rational inputs are row-scaled to integers
+  first, which does not change rank.
+- unit stripping (`smith.invariant_factors`): only +-1 entries pivot. A row
+  without one is parked until an update pushes it again.
+- rref: the pivot column is min(row) of the row as it leaves the heap, when
+  every earlier pivot has been eliminated from it, and each pivot is also
+  eliminated from the finished rows the column index names. No row's
+  leading column ever moves left, so the result is the unique reduced
+  echelon form, which `FieldReducer.free`, `field_kernel_basis` and the
+  coinvariant maps rely on. A Markowitz column would give another basis.
+
+Ranks, invariant factors and reduced echelon forms do not depend on the
+pivot order, so results do not depend on how the heap breaks ties.
+Field-side solving, kernels and span membership run on Fraction / mod-p
+arithmetic directly.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .rings import GF, PrimeField, RationalField, RingSpec
@@ -92,6 +117,13 @@ class Matrix:
             rows[i][j] = v
         return rows
 
+    def nonzero_rows(self) -> dict[int, dict]:
+        """The nonzero rows as {row index: {column: value}}."""
+        rows: dict[int, dict] = {}
+        for (i, j), v in self.entries.items():
+            rows.setdefault(i, {})[j] = v
+        return rows
+
     def to_dense_rows(self) -> list[list]:
         zero = self.ring.zero
         rows = [[zero] * self.ncols for _ in range(self.nrows)]
@@ -102,15 +134,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, self.ncols, self.nrows,
                       {(j, i): v for (i, j), v in self.entries.items()})
-
-    def submatrix_columns(self, cols: list[int]) -> "Matrix":
-        pos = {c: k for k, c in enumerate(cols)}
-        ent = {}
-        for (i, j), v in self.entries.items():
-            k = pos.get(j)
-            if k is not None:
-                ent[(i, k)] = v
-        return Matrix(self.ring, self.nrows, len(cols), ent)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
@@ -172,19 +195,7 @@ class Matrix:
 
     def apply_to_column(self, col: dict[int, object]) -> dict[int, object]:
         """Image of a sparse column vector under this matrix."""
-        r = self.ring
-        cols = None
-        out: dict[int, object] = {}
-        for k, b in col.items():
-            if cols is None:
-                cols = self.columns()
-            for i, a in cols[k].items():
-                s = r.add(out.get(i, r.zero), r.mul(a, b))
-                if r.is_zero(s):
-                    del out[i]
-                else:
-                    out[i] = s
-        return out
+        return apply_columns(self.ring, self.columns(), col) if col else {}
 
     def _check_same_shape(self, other: "Matrix"):
         if self.ring != other.ring:
@@ -199,6 +210,20 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols}, nnz={len(self.entries)})"
+
+
+def apply_columns(ring: RingSpec, cols: list[dict],
+                  vec: dict[int, object]) -> dict[int, object]:
+    """Image of a sparse column vector under the matrix with these columns."""
+    out: dict[int, object] = {}
+    for k, b in vec.items():
+        for i, a in cols[k].items():
+            s = ring.add(out.get(i, ring.zero), ring.mul(a, b))
+            if ring.is_zero(s):
+                del out[i]
+            else:
+                out[i] = s
+    return out
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
@@ -244,47 +269,130 @@ def block_diagonal(ring: RingSpec, mats: list[Matrix]) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# rank over F_p: plain Gaussian elimination, dict rows below 50% fill and
-# dense list rows above it.
+# the sparse eliminator
+
+class PivotPolicy:
+    """How one elimination mode pivots.
+
+    `column` names the pivot column of a candidate row, or None to park the
+    row until an update pushes it again. `pivot` returns the row to
+    eliminate with. The default `update` turns each target row t into
+    t - t[pc] * row, which clears column pc when row[pc] == 1; `p` is the
+    modulus for F_p arithmetic, 0 for exact arithmetic.
+    """
+
+    p = 0
+
+    def column(self, row: dict, cols: dict[int, set[int]]):
+        raise NotImplementedError
+
+    def pivot(self, row: dict, pc: int) -> dict:
+        return row
+
+    def update(self, elim: "SparseEliminator", t: int, trow: dict,
+               row: dict, pc: int) -> None:
+        elim.axpy(t, trow, trow[pc], row)
+
+
+class SparseEliminator:
+    """Sparse row elimination with a lazy min-heap of pivot rows.
+
+    `rows` maps row ids to {column: nonzero value} and is consumed: pivot
+    rows leave it, rows that become zero are dropped, and what remains when
+    `run` returns is the residue (empty unless the policy parks rows).
+    `cols` maps each column to the ids of the rows holding it. With
+    `reduced`, pivot rows are kept in `finished` and in `cols`, so every
+    later pivot is also eliminated from them (back-elimination).
+    """
+
+    def __init__(self, rows: dict[int, dict], policy: PivotPolicy,
+                 reduced: bool = False):
+        self.rows = rows
+        self.policy = policy
+        self.finished: dict[int, dict] | None = {} if reduced else None
+        self.cols: dict[int, set[int]] = {}
+        for i, row in rows.items():
+            for j in row:
+                self.cols.setdefault(j, set()).add(i)
+
+    def run(self) -> int:
+        """Eliminate until no row can pivot; return the number of pivots."""
+        rows, cols, policy, finished = \
+            self.rows, self.cols, self.policy, self.finished
+        heap = [(len(row), i) for i, row in rows.items()]
+        heapify(heap)
+        pivots = 0
+        while heap:
+            n, rid = heappop(heap)
+            row = rows.get(rid)
+            if row is None or len(row) != n:
+                continue  # stale: the row is gone or was updated since
+            pc = policy.column(row, cols)
+            if pc is None:
+                continue  # parked until an update pushes it again
+            del rows[rid]
+            row = policy.pivot(row, pc)
+            pivots += 1
+            if finished is None:
+                for c in row:
+                    cols[c].discard(rid)
+            else:
+                finished[rid] = row
+            for t in list(cols[pc]):
+                if t == rid:
+                    continue
+                trow = rows.get(t)
+                if trow is None:
+                    policy.update(self, t, finished[t], row, pc)
+                    continue
+                policy.update(self, t, trow, row, pc)
+                if trow:
+                    heappush(heap, (len(trow), t))
+                else:
+                    del rows[t]
+        return pivots
+
+    def axpy(self, t: int, trow: dict, f, row: dict) -> None:
+        """trow -= f * row (mod p), keeping the column index in step."""
+        cols, p = self.cols, self.policy.p
+        for c, v in row.items():
+            nv = trow.get(c, 0) - f * v
+            if p:
+                nv %= p
+            if nv:
+                if c not in trow:
+                    cols[c].add(t)
+                trow[c] = nv
+            elif c in trow:
+                del trow[c]
+                cols[c].discard(t)
+
+
+# ---------------------------------------------------------------------------
+# rank over F_p: sparse elimination below 50% fill, dense list rows above it.
+
+class _ModP(PivotPolicy):
+    """Markowitz column (the row's column held by the fewest rows); the
+    pivot row is scaled to 1 at it."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def column(self, row, cols):
+        return min(row, key=lambda c: len(cols[c]))
+
+    def pivot(self, row, pc):
+        p = self.p
+        inv = pow(row[pc], -1, p)
+        return {c: v * inv % p for c, v in row.items()}
+
 
 def _rank_mod_p(m: Matrix, p: int) -> int:
     if not m.entries:
         return 0
     if m.density() > 0.5:
         return _rank_mod_p_dense(m.to_dense_rows(), p)
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v % p
-        col_rows.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        rid = min(rows, key=lambda r: len(rows[r]))
-        row = rows.pop(rid)
-        if not row:
-            continue
-        pc = min(row, key=lambda c: len(col_rows.get(c, ())))
-        pv = row[pc]
-        inv = pow(pv, -1, p)
-        rank += 1
-        for c in row:
-            col_rows.get(c, set()).discard(rid)
-        targets = [t for t in col_rows.get(pc, ()) if t in rows]
-        for t in targets:
-            trow = rows[t]
-            f = (trow[pc] * inv) % p
-            for c, v in row.items():
-                nv = (trow.get(c, 0) - f * v) % p
-                if nv:
-                    if c not in trow:
-                        col_rows.setdefault(c, set()).add(t)
-                    trow[c] = nv
-                elif c in trow:
-                    del trow[c]
-                    col_rows.get(c, set()).discard(t)
-            if not trow:
-                del rows[t]
-    return rank
+    return SparseEliminator(m.nonzero_rows(), _ModP(p)).run()
 
 
 def _rank_mod_p_dense(rows: list[list[int]], p: int) -> int:
@@ -323,19 +431,13 @@ def _rank_mod_p_dense(rows: list[list[int]], p: int) -> int:
 # the permutation-like matrices slices produce.
 
 def _integer_rows(m: Matrix) -> dict[int, dict[int, int]]:
-    rows: dict[int, dict[int, int]] = {}
+    rows = m.nonzero_rows()
     if isinstance(m.ring, RationalField):
-        raw: dict[int, dict[int, Fraction]] = {}
-        for (i, j), v in m.entries.items():
-            raw.setdefault(i, {})[j] = v
-        for i, row in raw.items():
+        for i, row in rows.items():
             den = 1
             for v in row.values():
                 den = den * v.denominator // gcd(den, v.denominator)
             rows[i] = {j: int(v * den) for j, v in row.items()}
-    else:
-        for (i, j), v in m.entries.items():
-            rows.setdefault(i, {})[j] = int(v)
     return rows
 
 
@@ -351,66 +453,48 @@ def _reduce_content(row: dict[int, int]) -> int:
     return max(g, 1)
 
 
+class _FractionFree(PivotPolicy):
+    """Integer rows kept primitive; pivots unit-first, then fewest rows,
+    then smallest |value|. Records every pivot and content gcd divided out
+    when `divisors` is a list."""
+
+    def __init__(self, divisors: list | None):
+        self.divisors = divisors
+
+    def column(self, row, cols):
+        return min(row, key=lambda c: (abs(row[c]) != 1, len(cols[c]),
+                                       abs(row[c])))
+
+    def pivot(self, row, pc):
+        if self.divisors is not None:
+            self.divisors.append(row[pc])
+        return row
+
+    def update(self, elim, t, trow, row, pc):
+        pv = row[pc]
+        g = gcd(pv, trow[pc])
+        a, b = pv // g, trow[pc] // g
+        if a in (1, -1):
+            # pv | tv: ordinary integer row operation, no rescale
+            f = a * b
+        else:
+            # cross-multiply: a*trow - b*row, rescaling the whole row
+            for c in trow:
+                trow[c] *= a
+            f = b
+        elim.axpy(t, trow, f, row)
+        g = _reduce_content(trow)
+        if self.divisors is not None and g > 1:
+            self.divisors.append(g)
+
+
 def _rank_fraction_free(m: Matrix, record_divisors: list | None = None) -> int:
     rows = _integer_rows(m)
-    col_rows: dict[int, set[int]] = {}
-    for i, row in rows.items():
+    for row in rows.values():
         g = _reduce_content(row)
         if record_divisors is not None and g > 1:
             record_divisors.append(g)
-        for j in row:
-            col_rows.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        rid = min(rows, key=lambda r: len(rows[r]))
-        row = rows.pop(rid)
-        if not row:
-            continue
-        pc = min(row, key=lambda c: (abs(row[c]) != 1,
-                                     len(col_rows.get(c, ())), abs(row[c])))
-        pv = row[pc]
-        if record_divisors is not None:
-            record_divisors.append(pv)
-        rank += 1
-        for c in row:
-            col_rows.get(c, set()).discard(rid)
-        targets = [t for t in col_rows.get(pc, ()) if t in rows]
-        for t in targets:
-            trow = rows[t]
-            tv = trow[pc]
-            g = gcd(pv, tv)
-            a, b = pv // g, tv // g
-            if a in (1, -1):
-                # pv | tv: ordinary integer row operation, no rescale
-                f = a * b
-                for c, v in row.items():
-                    nv = trow.get(c, 0) - f * v
-                    if nv:
-                        if c not in trow:
-                            col_rows.setdefault(c, set()).add(t)
-                        trow[c] = nv
-                    elif c in trow:
-                        del trow[c]
-                        col_rows.get(c, set()).discard(t)
-            else:
-                # cross-multiply: a*trow - b*row, rescaling the whole row
-                for c in trow:
-                    trow[c] *= a
-                for c, v in row.items():
-                    nv = trow.get(c, 0) - b * v
-                    if nv:
-                        if c not in trow:
-                            col_rows.setdefault(c, set()).add(t)
-                        trow[c] = nv
-                    elif c in trow:
-                        del trow[c]
-                        col_rows.get(c, set()).discard(t)
-            g = _reduce_content(trow)
-            if record_divisors is not None and g > 1:
-                record_divisors.append(g)
-            if not trow:
-                del rows[t]
-    return rank
+    return SparseEliminator(rows, _FractionFree(record_divisors)).run()
 
 
 def rank_with_pivots(m: Matrix) -> tuple[int, list[int]]:
@@ -459,6 +543,26 @@ def modular_rank_crosscheck(m: Matrix, primes: list[int]) -> dict:
 # ---------------------------------------------------------------------------
 # field-side echelon machinery: kernels, span membership, reducers.
 
+class _ReducedEchelon(PivotPolicy):
+    """Pivot on the row's first column, pivot row scaled to 1. Rows come
+    off the heap already reduced by every earlier pivot, so min(row) is the
+    row's leading column, and back-elimination never gives a finished row
+    an entry left of its own pivot: the result is the unique reduced
+    echelon form. Markowitz choice would break this."""
+
+    def __init__(self, ring: RingSpec):
+        self.ring = ring
+        self.p = ring.p if isinstance(ring, PrimeField) else 0
+
+    def column(self, row, cols):
+        return min(row)
+
+    def pivot(self, row, pc):
+        ring = self.ring
+        inv = ring.inv(row[pc])
+        return {c: ring.mul(inv, v) for c, v in row.items()}
+
+
 def field_rref(m: Matrix) -> tuple[list[dict[int, object]], list[int]]:
     """Reduced row-echelon form of a matrix over a field.
 
@@ -469,43 +573,10 @@ def field_rref(m: Matrix) -> tuple[list[dict[int, object]], list[int]]:
     ring = m.ring
     if not ring.is_field:
         raise ValueError("field_rref needs a field")
-    rows = [r for r in m.rows() if r]
-    done: list[dict[int, object]] = []
-    while rows:
-        rows.sort(key=len)
-        row = rows.pop(0)
-        if not row:
-            continue
-        pc = min(row)
-        inv = ring.inv(row[pc])
-        row = {c: ring.mul(inv, v) for c, v in row.items()}
-        nxt = []
-        for other in rows:
-            if pc in other:
-                f = other[pc]
-                new = dict(other)
-                for c, v in row.items():
-                    s = ring.sub(new.get(c, ring.zero), ring.mul(f, v))
-                    if ring.is_zero(s):
-                        new.pop(c, None)
-                    else:
-                        new[c] = s
-                if new:
-                    nxt.append(new)
-            else:
-                nxt.append(other)
-        rows = nxt
-        for prev in done:
-            if pc in prev:
-                f = prev[pc]
-                for c, v in row.items():
-                    s = ring.sub(prev.get(c, ring.zero), ring.mul(f, v))
-                    if ring.is_zero(s):
-                        prev.pop(c, None)
-                    else:
-                        prev[c] = s
-        done.append(row)
-    done.sort(key=min)
+    elim = SparseEliminator(m.nonzero_rows(), _ReducedEchelon(ring),
+                            reduced=True)
+    elim.run()
+    done = sorted(elim.finished.values(), key=min)
     return done, [min(r) for r in done]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Matrix
+from .matrix import Matrix, PivotPolicy, SparseEliminator, apply_columns
 from .rings import ZZ, IntegerRing
 
 
@@ -52,46 +52,28 @@ def invariant_factors(m: Matrix) -> list[int]:
     return [1] * ones + rest
 
 
+class _UnitPivots(PivotPolicy):
+    """Only +-1 entries pivot, in the column held by the fewest rows; a row
+    without one is parked until an update pushes it again."""
+
+    def column(self, row, cols):
+        best = None
+        for c, v in row.items():
+            if v == 1 or v == -1:
+                k = len(cols[c])
+                if best is None or k < best[0]:
+                    best = (k, c)
+        return None if best is None else best[1]
+
+    def pivot(self, row, pc):
+        return row if row[pc] == 1 else {c: -v for c, v in row.items()}
+
+
 def _strip_unit_pivots(m: Matrix) -> tuple[int, list[dict[int, int]]]:
     """Eliminate with +-1 pivots sparsely; return (#unit factors, residue rows)."""
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = int(v)
-        col_rows.setdefault(j, set()).add(i)
-    ones = 0
-    while True:
-        unit = None
-        for rid, row in rows.items():
-            for c, v in row.items():
-                if v in (1, -1):
-                    cand = (len(row), len(col_rows.get(c, ())), rid, c)
-                    if unit is None or cand < unit[0]:
-                        unit = (cand, rid, c)
-        if unit is None:
-            break
-        _, rid, pc = unit
-        row = rows.pop(rid)
-        pv = row[pc]
-        ones += 1
-        for c in row:
-            col_rows.get(c, set()).discard(rid)
-        targets = [t for t in col_rows.get(pc, ()) if t in rows]
-        for t in targets:
-            trow = rows[t]
-            f = trow[pc] * pv  # pv in {1,-1}: f = trow[pc] / pv
-            for c, v in row.items():
-                nv = trow.get(c, 0) - f * v
-                if nv:
-                    if c not in trow:
-                        col_rows.setdefault(c, set()).add(t)
-                    trow[c] = nv
-                elif c in trow:
-                    del trow[c]
-                    col_rows.get(c, set()).discard(t)
-            if not trow:
-                del rows[t]
-    return ones, [row for row in rows.values() if row]
+    elim = SparseEliminator(m.nonzero_rows(), _UnitPivots())
+    ones = elim.run()
+    return ones, list(elim.rows.values())
 
 
 def _snf_diagonal_dense(sparse_rows: list[dict[int, int]]) -> list[int]:
@@ -249,10 +231,12 @@ class IntegerSolver:
         self.a = a
         self.sf = smith_form(a, transforms=True)
         self.k = len(self.sf.factors)
+        self._left_cols = self.sf.left.columns()
+        self._right_cols = self.sf.right.columns()
 
     def solve(self, b: dict[int, int]) -> dict[int, int] | None:
         """A sparse solution column, or None when b is outside the lattice."""
-        y = self.sf.left.apply_to_column(b)
+        y = apply_columns(ZZ, self._left_cols, b)
         z: dict[int, int] = {}
         for i, val in y.items():
             if i < self.k:
@@ -262,7 +246,7 @@ class IntegerSolver:
                 z[i] = val // d
             elif val:
                 return None
-        return self.sf.right.apply_to_column(z)
+        return apply_columns(ZZ, self._right_cols, z)
 
     def contains(self, b: dict[int, int]) -> bool:
         return self.solve(b) is not None

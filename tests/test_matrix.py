@@ -1,34 +1,64 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fimod.arnold import ArnoldModule
+from fimod.coinvariants import MultiIndex, ideal_matrix
 from fimod.matrix import (FieldReducer, Matrix, field_in_span,
                           field_kernel_basis, field_rref, hstack,
                           modular_rank_crosscheck, vstack)
 from fimod.rings import GF, QQ, ZZ
+from fimod.smith import _snf_core, invariant_factors
 
 
-def dense_rank_reference(rows):
-    """Plain Fraction Gaussian elimination, independent of the library."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr, nc = len(m), len(m[0])
-    r = 0
+def dense_rref_reference(rows, p=0):
+    """Column-by-column Gauss-Jordan on dense lists, over Q (Fraction
+    arithmetic) when p is 0 and over F_p otherwise.
+
+    Returns (rref rows as sparse dicts, pivot columns), sorted by pivot.
+    """
+    if p:
+        m = [[x % p for x in row] for row in rows]
+    else:
+        m = [[Fraction(x) for x in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
     for c in range(nc):
+        r = len(pivots)
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        f = m[r][c]
-        m[r] = [x / f for x in m[r]]
+        if p:
+            inv = pow(m[r][c], -1, p)
+            prow = [(x * inv) % p for x in m[r]]
+        else:
+            inv = 1 / m[r][c]
+            prow = [x * inv for x in m[r]]
+        m[r] = prow
         for i in range(nr):
-            if i != r and m[i][c]:
-                g = m[i][c]
-                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+            g = m[i][c]
+            if i != r and g:
+                if p:
+                    m[i] = [(x - g * y) % p for x, y in zip(m[i], prow)]
+                else:
+                    m[i] = [x - g * y if y else x for x, y in zip(m[i], prow)]
+        pivots.append(c)
+    out = [{j: v for j, v in enumerate(row) if v} for row in m[:len(pivots)]]
+    return out, pivots
+
+
+def dense_rank_reference(rows):
+    return len(dense_rref_reference(rows)[1])
+
+
+def dense_rank_reference_mod_p(rows, p):
+    return len(dense_rref_reference(rows, p)[1])
 
 
 def test_rank_trivial_cases():
@@ -56,27 +86,7 @@ def test_rank_dense_fallback_mod_p():
     rows = [[rng.randrange(5) for _ in range(10)] for _ in range(10)]
     m = Matrix.from_rows(GF(5), rows)
     assert m.density() > 0.5
-    assert m.rank() == dense_rank_reference_mod5(rows)
-
-
-def dense_rank_reference_mod5(rows):
-    p = 5
-    m = [[x % p for x in row] for row in rows]
-    nr, nc = len(m), len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                g = m[i][c]
-                m[i] = [(x - g * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+    assert m.rank() == dense_rank_reference_mod_p(rows, 5)
 
 
 def test_modular_crosscheck_advisory():
@@ -136,3 +146,103 @@ def test_field_reducer_coordinates():
     c1 = red.coordinates({1: Fraction(-1)})
     assert c0 == c1
     assert red.reduce({0: Fraction(1), 1: Fraction(1)}) == {}
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the sparse eliminator against dense references
+
+def dense_snf_reference(rows):
+    """Invariant factors from the dense SNF core on the whole matrix, with
+    no sparse unit stripping in front of it."""
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    return _snf_core([list(row) for row in rows], nr, nc, None, None)
+
+
+def sparse_matrix(ring, rows):
+    """Matrix.from_rows without visiting the zero cells."""
+    ent = {(i, j): v for i, row in enumerate(rows)
+           for j, v in enumerate(row) if v}
+    return Matrix(ring, len(rows), len(rows[0]), ent)
+
+
+def random_sparse_rows(seed, nr, nc, density, values=(1, -1, 2, -2, 3, 5)):
+    rng = random.Random(seed)
+    return [[rng.choice(values) if rng.random() < density else 0
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def _integer_dense(m):
+    return [[int(v) for v in row] for row in m.to_dense_rows()]
+
+
+def _differential_inputs():
+    """Integer matrices keyed by label: seeded random sparse matrices, the
+    Arnold m=2 and m=3 slice relation matrices for n <= 7 and the
+    coinvariant ideal matrices for r=2, J=(2,2), n <= 5 (their entries are
+    integers)."""
+    inputs = {}
+    for seed, (nr, nc, density) in enumerate(
+            [(12, 9, 0.3), (9, 14, 0.25), (30, 30, 0.08), (40, 25, 0.1),
+             (25, 40, 0.12), (60, 45, 0.05)]):
+        inputs[f"random-{seed}"] = random_sparse_rows(seed, nr, nc, density)
+    for m in (2, 3):
+        for n in range(3, 8):
+            rel = ArnoldModule(m, QQ).slice_module(n).relations
+            inputs[f"arnold-m{m}-n{n}"] = _integer_dense(rel)
+    for n in range(1, 6):
+        rel = ideal_matrix(MultiIndex(2, (2, 2)), n, QQ)
+        assert all(v.denominator == 1 for v in rel.entries.values())
+        inputs[f"coinv-r2-J22-n{n}"] = _integer_dense(rel)
+    return inputs
+
+
+DIFFERENTIAL_INPUTS = _differential_inputs()
+
+
+@lru_cache(maxsize=None)
+def _rational_reference(label):
+    return dense_rref_reference(DIFFERENTIAL_INPUTS[label])
+
+
+@pytest.mark.parametrize("label", sorted(DIFFERENTIAL_INPUTS))
+def test_rank_matches_dense_reference(label):
+    rows = DIFFERENTIAL_INPUTS[label]
+    expect = len(_rational_reference(label)[1])
+    assert sparse_matrix(QQ, rows).rank() == expect
+    assert sparse_matrix(ZZ, rows).rank() == expect
+    for p in (2, 5):
+        assert sparse_matrix(GF(p), rows).rank() == \
+            dense_rank_reference_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("label", sorted(DIFFERENTIAL_INPUTS))
+def test_field_rref_matches_dense_reference(label):
+    rows = DIFFERENTIAL_INPUTS[label]
+    assert field_rref(sparse_matrix(QQ, rows)) == \
+        _rational_reference(label)
+    assert field_rref(sparse_matrix(GF(5), rows)) == \
+        dense_rref_reference(rows, 5)
+
+
+small_matrices = st.integers(1, 6).flatmap(
+    lambda nc: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                 min_size=nc, max_size=nc),
+        min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_matrices)
+def test_eliminator_agrees_with_dense_references(rows):
+    rref_q, pivots = dense_rref_reference(rows)
+    assert sparse_matrix(QQ, rows).rank() == len(pivots)
+    assert sparse_matrix(ZZ, rows).rank() == len(pivots)
+    for p in (2, 5):
+        assert sparse_matrix(GF(p), rows).rank() == \
+            dense_rank_reference_mod_p(rows, p)
+    assert field_rref(sparse_matrix(QQ, rows)) == (rref_q, pivots)
+    assert field_rref(sparse_matrix(GF(5), rows)) == \
+        dense_rref_reference(rows, 5)
+    assert invariant_factors(sparse_matrix(ZZ, rows)) == \
+        dense_snf_reference(rows)

@@ -7,6 +7,8 @@ from fimod.rings import QQ, ZZ
 from fimod.smith import (IntegerSolver, SmithForm, integer_inverse,
                          integer_in_span, integer_kernel_basis,
                          invariant_factors, lattice_canonical, smith_form)
+from tests.test_matrix import (DIFFERENTIAL_INPUTS, dense_snf_reference,
+                               random_sparse_rows, sparse_matrix)
 
 
 def test_invariant_factor_examples():
@@ -98,3 +100,28 @@ def test_smith_form_dataclass():
     sf = SmithForm((1, 2, 6))
     d = sf.diagonal_matrix(3, 5)
     assert d.get(2, 2) == 6 and d.get(0, 3) == 0
+
+
+# Left to the rank and rref differential tests: the 1330 x 735 Arnold m=3,
+# n=7 matrix, because the dense SNF reference is cubic in its size, and
+# random-5, because the dense SNF core (the reference and the residue step
+# of invariant_factors alike) grows its entries to a million bits on it and
+# does not finish.
+SNF_LABELS = sorted(label for label in DIFFERENTIAL_INPUTS
+                    if label not in ("arnold-m3-n7", "random-5"))
+
+
+@pytest.mark.parametrize("label", SNF_LABELS)
+def test_invariant_factors_match_dense_snf(label):
+    rows = DIFFERENTIAL_INPUTS[label]
+    assert invariant_factors(sparse_matrix(ZZ, rows)) == \
+        dense_snf_reference(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_invariant_factors_match_dense_snf_without_units(seed):
+    # no +-1 entries at all: stripping finds nothing until updates make units
+    rows = random_sparse_rows(100 + seed, 14, 11, 0.35,
+                              values=(2, -2, 3, 4, -6, 9))
+    assert invariant_factors(sparse_matrix(ZZ, rows)) == \
+        dense_snf_reference(rows)
