@@ -3,7 +3,7 @@
 Every command prints a deterministic text report: tool version, command,
 config echo (sorted JSON), seed, one line per check, payload blocks, and a
 final status. Exit codes: 0 all checks pass, 1 any check failed, 2 no
-failures but at least one inconclusive, 3 usage or parse error.
+failures but at least one inconclusive, 3 usage, parse or write error.
 """
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ def _load_presentation(path: str, ring_name: str | None) -> FIPresentation:
         ) from e
     try:
         return FIPresentation.from_document(doc, ring=ring)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise UsageError(f"{path}: invalid presentation document: {e}") from e
 
 
@@ -125,18 +125,26 @@ def _default_primes() -> list[int]:
     return [2, 3, 5, 7]
 
 
-def _emit(report: Report, out: str | None):
-    text = report.render()
-    sys.stdout.write(text)
-    if out:
-        with open(out, "w") as fh:
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from e
+
+
+def _emit(report: Report, out: str | None):
+    """Write the report to `out` first, so an unwritable path leaves
+    stdout empty, then to stdout."""
+    text = report.render()
+    if out:
+        _write(out, text)
+    sys.stdout.write(text)
 
 
 def _maybe_write(path: str | None, text: str, report: Report, label: str):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
         report.note(f"{label} written to {path}")
     else:
         report.block(label, text)
@@ -557,13 +565,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.fn(args)
-    except UsageError as e:
+        _emit(report, args.out if hasattr(args, "out") else None)
+    except (UsageError, ValueError) as e:
         sys.stderr.write(f"fimod: error: {e}\n")
         return 3
-    except ValueError as e:
-        sys.stderr.write(f"fimod: error: {e}\n")
-        return 3
-    _emit(report, args.out if hasattr(args, "out") else None)
     return report.exit_code
 
 

@@ -22,7 +22,6 @@ from .injections import Injection, standard_inclusion
 from .matrix import Matrix, block_diagonal, hstack
 from .modules import (Invariants, ModuleMap, PresentedModule, is_isomorphism)
 from .rings import IntegerRing
-from .smith import IntegerSolver, integer_kernel_basis
 
 
 def subsets_of_size(n: int, k: int) -> list[tuple[int, ...]]:
@@ -136,17 +135,21 @@ class HomologyResult:
     mode: str                          # "field" or "integer-free-slices"
     positions: dict[int, Invariants]
 
-    def is_zero_at(self, a: int) -> bool:
-        return self.positions[a].is_zero
-
 
 def complex_homology(src, n: int, positions=None) -> HomologyResult:
     """Homology of the degree-n slice of the signed complex.
 
     Over a field: dim H_a = dim(term a) - rank im(d_a) - rank im(d_{a+1}),
-    all computed on the presented quotients. Over Z the slices must all be
-    torsion-free; the differentials are then lifted to chosen bases of the
-    free quotients and homology is read off Smith forms.
+    all computed on the presented quotients.
+
+    Over Z the slices must all be torsion-free, so level a is Z^{r_a} in the
+    free coordinates of its summands. Let L_a = coords_{a-1} @ d_a @
+    section_a be the lifted differential. Its image lies in the free group
+    Z^{r_{a-1}}, so ker L_a is a direct summand of Z^{r_a}, and
+    coker L_{a+1} ≅ H_a ⊕ Z^{rank L_a}. Hence H_a has the torsion of
+    coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}; one Smith
+    form (no transforms) of L_{a+1} and one rank of L_a per position. Only
+    the levels a-1..a+1 of the requested positions are built.
     """
     ring = src.ring
     if positions is None:
@@ -199,52 +202,34 @@ def _homology_field(src, n: int, positions: list[int]) -> HomologyResult:
 
 def _homology_integer(src, n: int, positions: list[int]) -> HomologyResult:
     ring = src.ring
-    cx = slice_complex(src, n)
-    coords: list[Matrix] = []
-    sections: list[Matrix] = []
-    for t in cx.terms:
-        if t.module.relations.is_zero():
-            ident = Matrix.identity(ring, t.module.ambient)
-            coords.append(ident)
-            sections.append(ident)
-        else:
-            c, s = _blockwise_free_coordinates(t)
-            coords.append(c)
-            sections.append(s)
-    lifted: dict[int, Matrix] = {}
-    for a in range(1, n + 1):
-        lifted[a] = coords[a - 1] @ cx.differentials[a - 1].matrix @ sections[a]
+    levels = {b for a in positions for b in (a - 1, a, a + 1) if 0 <= b <= n}
+    terms = {b: signed_shift_slice(src, b, n) for b in levels}
+    frames = {b: _blockwise_free_coordinates(t) for b, t in terms.items()}
+    # L_b = coords_{b-1} @ d_b @ section_b, for the b that position a needs:
+    # its rank (b = a) and its image (b = a + 1)
+    lifted = {}
+    for b in {b for a in positions for b in (a, a + 1) if 1 <= b <= n}:
+        d = differential(src, b, n, terms[b], terms[b - 1])
+        lifted[b] = frames[b - 1][0] @ d.matrix @ frames[b][1]
     out = {}
     for a in positions:
-        rank_a = coords[a].nrows
-        if a >= 1:
-            kernel = integer_kernel_basis(lifted[a])
-        else:
-            kernel = [{j: 1} for j in range(rank_a)]
-        if not kernel:
-            out[a] = Invariants(0)
-            continue
-        kmat = Matrix.from_columns(ring, rank_a, kernel)
-        if a + 1 <= n and not lifted[a + 1].is_zero():
-            solver = IntegerSolver(kmat)
-            cols = []
-            for col in lifted[a + 1].columns():
-                sol = solver.solve(col)
-                if sol is None:
-                    raise RuntimeError("boundary escaped the cycle lattice")
-                cols.append(sol)
-            inner = Matrix.from_columns(ring, len(kernel), cols) \
-                if cols else Matrix.zero(ring, len(kernel), 0)
-        else:
-            inner = Matrix.zero(ring, len(kernel), 0)
-        out[a] = PresentedModule(ring, len(kernel), inner).invariants()
+        free = frames[a][0].nrows
+        boundaries = lifted[a + 1] if a < n else Matrix.zero(ring, free, 0)
+        coker = PresentedModule(ring, free, boundaries).invariants()
+        rank_out = lifted[a].rank() if a >= 1 else 0
+        out[a] = Invariants(coker.free_rank - rank_out, coker.torsion)
     return HomologyResult(n, "integer-free-slices", out)
 
 
 def _blockwise_free_coordinates(t: SignedShiftSlice) -> tuple[Matrix, Matrix]:
+    """(coords, section) of a torsion-free level: identities when it has no
+    relations, else the summand's free coordinates once per block."""
+    ring = t.module.ring
+    if t.module.relations.is_zero():
+        ident = Matrix.identity(ring, t.module.ambient)
+        return ident, ident
     c, s = t.summand.free_coordinates()
     k = len(t.subsets)
-    ring = t.module.ring
     return (block_diagonal(ring, [c] * k), block_diagonal(ring, [s] * k))
 
 

@@ -101,10 +101,6 @@ class DimensionTable:
             return list(self.values)
         return [inv.free_rank for inv in self.values]
 
-    def has_torsion(self) -> bool:
-        return (not self.is_field_table) and \
-            any(inv.torsion for inv in self.values)
-
     def to_csv(self) -> str:
         if self.is_field_table:
             lines = ["n,dim"]

@@ -42,13 +42,6 @@ class Injection:
         return Injection(other.source, self.target,
                          tuple(self.images[v - 1] for v in other.images))
 
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.images)
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and \
-            self.images == tuple(range(1, self.source + 1))
-
 
 def identity_injection(n: int) -> Injection:
     return Injection(n, n, tuple(range(1, n + 1)))

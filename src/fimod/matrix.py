@@ -37,7 +37,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .rings import GF, PrimeField, RationalField, RingSpec
+from .rings import PrimeField, RationalField, RingSpec
 
 
 class Matrix:
@@ -441,34 +441,25 @@ def _integer_rows(m: Matrix) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _reduce_content(row: dict[int, int]) -> int:
+def _reduce_content(row: dict[int, int]) -> None:
+    """Divide the row by the gcd of its entries, in place."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return 1
+            return
     if g > 1:
         for j in row:
             row[j] //= g
-    return max(g, 1)
 
 
 class _FractionFree(PivotPolicy):
     """Integer rows kept primitive; pivots unit-first, then fewest rows,
-    then smallest |value|. Records every pivot and content gcd divided out
-    when `divisors` is a list."""
-
-    def __init__(self, divisors: list | None):
-        self.divisors = divisors
+    then smallest |value|."""
 
     def column(self, row, cols):
         return min(row, key=lambda c: (abs(row[c]) != 1, len(cols[c]),
                                        abs(row[c])))
-
-    def pivot(self, row, pc):
-        if self.divisors is not None:
-            self.divisors.append(row[pc])
-        return row
 
     def update(self, elim, t, trow, row, pc):
         pv = row[pc]
@@ -483,61 +474,14 @@ class _FractionFree(PivotPolicy):
                 trow[c] *= a
             f = b
         elim.axpy(t, trow, f, row)
-        g = _reduce_content(trow)
-        if self.divisors is not None and g > 1:
-            self.divisors.append(g)
+        _reduce_content(trow)
 
 
-def _rank_fraction_free(m: Matrix, record_divisors: list | None = None) -> int:
+def _rank_fraction_free(m: Matrix) -> int:
     rows = _integer_rows(m)
     for row in rows.values():
-        g = _reduce_content(row)
-        if record_divisors is not None and g > 1:
-            record_divisors.append(g)
-    return SparseEliminator(rows, _FractionFree(record_divisors)).run()
-
-
-def rank_with_pivots(m: Matrix) -> tuple[int, list[int]]:
-    """Rank over the fraction field plus every integer divided by during
-    elimination: pivots and row-content gcds.
-
-    Only meaningful over Q and Z. A prime dividing none of the recorded
-    values admits the identical elimination mod p, so the reduction is
-    guaranteed to have the same rank; the advisory modular cross-check
-    skips the other primes.
-    """
-    if isinstance(m.ring, PrimeField):
-        raise ValueError("pivot recording applies to Q and Z only")
-    divisors: list[int] = []
-    r = _rank_fraction_free(m, divisors)
-    return r, divisors
-
-
-def modular_rank_crosscheck(m: Matrix, primes: list[int]) -> dict:
-    """Advisory modular cross-check of the fraction-free rank.
-
-    Reduces an integer/rational matrix mod each given prime that divides
-    no elimination pivot and compares ranks. Returns a report dict; never
-    raises on disagreement (the caller decides what to flag).
-    """
-    r, pivots = rank_with_pivots(m)
-    rows = _integer_rows(m)
-    report = {"rank": r, "primes": {}, "agree": True}
-    for p in primes:
-        if any(pv % p == 0 for pv in pivots):
-            report["primes"][p] = "skipped (divides a pivot)"
-            continue
-        ent = {}
-        for i, row in rows.items():
-            for j, v in row.items():
-                if v % p:
-                    ent[(i, j)] = v % p
-        mp = Matrix(GF(p), m.nrows, m.ncols, ent)
-        rp = mp.rank()
-        report["primes"][p] = rp
-        if rp != r:
-            report["agree"] = False
-    return report
+        _reduce_content(row)
+    return SparseEliminator(rows, _FractionFree()).run()
 
 
 # ---------------------------------------------------------------------------

@@ -89,12 +89,6 @@ class SliceModule:
     def invariants(self):
         return self.module.invariants()
 
-    def element_column(self, e: FreeElement) -> dict:
-        col = {}
-        for (gen, inj), c in e.terms.items():
-            col[self.index[(gen, inj.images)]] = c
-        return col
-
 
 class SliceMap:
     """The induced map f_* between two slices of one presentation."""

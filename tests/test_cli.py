@@ -153,6 +153,38 @@ def test_nonprime_ring_rejected(tmp_path, capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring,coeff", [({"Fp": 3}, "1/3"), ("Q", "1/0")])
+def test_degenerate_coefficient_exit_code(tmp_path, capsys, ring, coeff):
+    doc = {"ring": ring, "generators": [1], "relations": [
+        {"degree": 2, "terms": [{"gen": 0, "injection": [1],
+                                 "coeff": coeff}]}]}
+    bad = tmp_path / "coeff.fim"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--module", str(bad), "--n", "0..2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("fimod: error:")
+
+
+def test_unwritable_out_exit_code(m2_file, tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.txt"
+    assert main(["eval", "--module", m2_file, "--n", "0..2",
+                 "--out", str(dest)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fimod: error: cannot write {dest}: " \
+        f"[Errno 2] No such file or directory: '{dest}'\n"
+
+
+def test_unwritable_emit_exit_code(m2_file, tmp_path, capsys):
+    dest = tmp_path / "missing" / "shifted.fim"
+    assert main(["shift", "--module", m2_file, "--a", "1",
+                 "--emit", str(dest)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"fimod: error: cannot write {dest}:")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["eval", "--n", "0..2"]) == 3
 

@@ -12,11 +12,12 @@ from fimod.complexes import (check_inductive, complex_homology, differential,
                              subsets_of_size, verify_chain_homotopy)
 from fimod.functors import h0_slice
 from fimod.injections import Injection
-from fimod.matrix import Matrix, hstack
-from fimod.modules import is_isomorphism
+from fimod.matrix import Matrix, block_diagonal, hstack
+from fimod.modules import Invariants, PresentedModule, is_isomorphism
 from fimod.presentations import FIPresentation, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
+from fimod.smith import IntegerSolver, integer_kernel_basis
 from tests.test_presentations import torsion_module
 
 
@@ -161,6 +162,107 @@ def test_integer_homology_matches_rational_on_free_slices():
     for a in rz.positions:
         assert rz.positions[a].free_rank == rq.positions[a].free_rank
         assert not rz.positions[a].torsion
+
+
+def lattice_homology_reference(src, n):
+    """Integer homology of the degree-n slice complex by kernel lattices.
+
+    Lifts every differential to free coordinates of the slices, takes a
+    basis of ker L_a from a transform Smith form, solves every boundary
+    column of L_{a+1} into that basis and reads H_a off the Smith form of
+    the resulting relation matrix.
+    """
+    cx = slice_complex(src, n)
+    coords, sections = [], []
+    for t in cx.terms:
+        k = len(t.subsets)
+        if t.module.relations.is_zero():
+            c = s = Matrix.identity(ZZ, t.module.ambient)
+        else:
+            c0, s0 = t.summand.free_coordinates()
+            c, s = block_diagonal(ZZ, [c0] * k), block_diagonal(ZZ, [s0] * k)
+        coords.append(c)
+        sections.append(s)
+    lifted = {a: coords[a - 1] @ cx.differentials[a - 1].matrix @ sections[a]
+              for a in range(1, n + 1)}
+    out = {}
+    for a in range(n + 1):
+        rank_a = coords[a].nrows
+        kernel = integer_kernel_basis(lifted[a]) if a >= 1 \
+            else [{j: 1} for j in range(rank_a)]
+        if not kernel:
+            out[a] = Invariants(0)
+            continue
+        cols = []
+        if a + 1 <= n and not lifted[a + 1].is_zero():
+            solver = IntegerSolver(Matrix.from_columns(ZZ, rank_a, kernel))
+            for col in lifted[a + 1].columns():
+                sol = solver.solve(col)
+                assert sol is not None, "boundary escaped the cycle lattice"
+                cols.append(sol)
+        inner = Matrix.from_columns(ZZ, len(kernel), cols) if cols \
+            else Matrix.zero(ZZ, len(kernel), 0)
+        out[a] = PresentedModule(ZZ, len(kernel), inner).invariants()
+    return out
+
+
+def complex_size(src, n):
+    """Total ambient rank of the degree-n slice complex."""
+    return sum(math.comb(n, a) * src.slice_module(n - a).ambient
+               for a in range(n + 1))
+
+
+def torsion_free_up_to(src, n):
+    return all(not src.slice_module(m).invariants().torsion
+               for m in range(n + 1))
+
+
+# (structure, n, the nonzero torsion of H_a by position a): cases with
+# torsion in H, plus seeded_structures(6, 60)[32] = M(1)/(2e1 - 3e2, 2e1),
+# whose stacked ambient boundary matrices have no +-1 pivot.
+INTEGER_HOMOLOGY_CASES = [
+    (seeded_structures(6, 60)[29], 3, {1: (2,)}),
+    (seeded_structures(6, 60)[29], 4, {2: (2,)}),
+    (seeded_structures(6, 60)[29], 5, {3: (2,)}),
+    (seeded_structures(8, 60, max_generators=3, max_relations=3)[41], 3,
+     {1: (2, 2)}),
+    (seeded_structures(8, 60, max_generators=3, max_relations=3)[41], 4,
+     {2: (2, 2, 2)}),
+    (seeded_structures(3, 40)[11], 2, {0: (3,)}),
+    (seeded_structures(4, 40)[25], 1, {0: (2,)}),
+    (seeded_structures(6, 60)[32], 6, {}),
+]
+
+
+@pytest.mark.parametrize("struct,n,torsion", INTEGER_HOMOLOGY_CASES)
+def test_integer_homology_matches_lattice_reference_with_torsion(struct, n,
+                                                                 torsion):
+    p = instantiate(struct, ZZ)
+    got = complex_homology(p, n).positions
+    assert got == lattice_homology_reference(p, n)
+    assert {a: inv.torsion for a, inv in got.items() if inv.torsion} == \
+        torsion
+
+
+def test_integer_homology_matches_lattice_reference():
+    from fimod.arnold import ArnoldModule
+    sources = [(free_presentation(ZZ, d), 6) for d in (0, 1, 2)]
+    sources.append((ArnoldModule(1, ZZ), 5))
+    sources.append((ArnoldModule(2, ZZ), 4))
+    for seed in (0, 5):
+        sources += [(instantiate(s, ZZ), 6)
+                    for s in seeded_structures(seed, 12)]
+    checked = 0
+    for src, n_max in sources:
+        for n in range(n_max + 1):
+            # the size cap keeps the transform Smith forms of the reference
+            # to a few seconds in all
+            if complex_size(src, n) > 300 or not torsion_free_up_to(src, n):
+                continue
+            assert complex_homology(src, n).positions == \
+                lattice_homology_reference(src, n), (src, n)
+            checked += 1
+    assert checked >= 140
 
 
 def test_integer_homology_refuses_torsion_slices():

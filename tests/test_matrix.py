@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from fimod.arnold import ArnoldModule
 from fimod.coinvariants import MultiIndex, ideal_matrix
 from fimod.matrix import (FieldReducer, Matrix, field_in_span,
-                          field_kernel_basis, field_rref, hstack,
-                          modular_rank_crosscheck, vstack)
+                          field_kernel_basis, field_rref, hstack, vstack)
 from fimod.rings import GF, QQ, ZZ
 from fimod.smith import _snf_core, invariant_factors
 
@@ -87,22 +86,6 @@ def test_rank_dense_fallback_mod_p():
     m = Matrix.from_rows(GF(5), rows)
     assert m.density() > 0.5
     assert m.rank() == dense_rank_reference_mod_p(rows, 5)
-
-
-def test_modular_crosscheck_advisory():
-    rng = random.Random(5)
-    for _ in range(10):
-        rows = [[rng.randint(-6, 6) for _ in range(5)] for _ in range(4)]
-        m = Matrix.from_rows(ZZ, rows)
-        report = modular_rank_crosscheck(m, [10007, 10009, 10037])
-        assert report["agree"], (rows, report)
-
-
-def test_modular_crosscheck_skips_pivot_divisors():
-    m = Matrix.from_rows(ZZ, [[2]])
-    report = modular_rank_crosscheck(m, [2, 3])
-    assert report["primes"][2] == "skipped (divides a pivot)"
-    assert report["primes"][3] == 1 and report["agree"]
 
 
 def test_matmul_and_stacking():
