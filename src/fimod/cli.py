@@ -103,7 +103,8 @@ def _load_presentation(path: str, ring_name: str | None) -> FIPresentation:
         ) from e
     try:
         return FIPresentation.from_document(doc, ring=ring)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            OverflowError) as e:
         raise UsageError(f"{path}: invalid presentation document: {e}") from e
 
 
@@ -116,6 +117,11 @@ def _load_table(path: str, ring_name: str) -> DimensionTable:
         raise UsageError(f"cannot read {path}: {e}") from e
     except ValueError as e:
         raise UsageError(f"{path}: invalid table: {e}") from e
+
+
+def _require_degree(n: int):
+    if n < 0:
+        raise UsageError(f"--n must be >= 0, got {n}")
 
 
 def _default_primes() -> list[int]:
@@ -257,6 +263,7 @@ def cmd_saturate(args) -> Report:
 
 
 def cmd_homology(args) -> Report:
+    _require_degree(args.n)
     p = _load_presentation(args.module, args.ring)
     positions = [int(x) for x in args.positions.split(",")] \
         if args.positions else None
@@ -287,6 +294,7 @@ def cmd_homology(args) -> Report:
 
 
 def cmd_homotopy_check(args) -> Report:
+    _require_degree(args.n)
     p = _load_presentation(args.module, args.ring)
     rep = Report("homotopy-check", {"module": args.module, "n": args.n,
                                     "a": args.a, "ring": p.ring.name})

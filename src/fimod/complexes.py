@@ -12,16 +12,23 @@ representative of the summand T is the increasing enumeration of its
 complement; with that convention the descended differential out of T is an
 alternating sum over the complement, the sign of each target being the
 1-based rank of the inserted point.
+
+Homology takes one route over Q, F_p and Z. The source is read in the free
+coordinates of its slices (over Z every slice must be torsion-free), so
+level a becomes R^{r_a} and the differential L_a a matrix over R. The image
+of L_a lies in the free module R^{r_{a-1}}, so ker L_a is a direct summand
+of R^{r_a} and coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a is therefore the
+cokernel of L_{a+1} with rank L_a taken off its free rank: one rank per
+differential over a field, one Smith form without transforms over Z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .injections import Injection, standard_inclusion
-from .matrix import Matrix, block_diagonal, hstack
+from .injections import Injection, enumerate_injections, standard_inclusion
+from .matrix import Matrix, block_diagonal
 from .modules import (Invariants, ModuleMap, PresentedModule, is_isomorphism)
-from .rings import IntegerRing
 
 
 def subsets_of_size(n: int, k: int) -> list[tuple[int, ...]]:
@@ -36,65 +43,78 @@ def position_injection(small: tuple[int, ...], big: tuple[int, ...]) -> Injectio
 
 
 # ---------------------------------------------------------------------------
-# signed slices and differentials
+# shift slices and block assembly
 
 @dataclass
-class SignedShiftSlice:
+class ShiftSlice:
+    """Level a of a shift at degree n: one copy of the degree-(n-a) slice
+    per label (subsets of size n - a for the signed complex, injections
+    [a] -> [n] for the ordered shift)."""
     level: int
     degree: int
-    subsets: list[tuple[int, ...]]     # summand labels, |T| = degree - level
+    labels: list
     summand: PresentedModule           # the shared degree-(n-a) slice
-    module: PresentedModule            # block sum over the subsets
-
-    @property
-    def summand_ambient(self) -> int:
-        return self.summand.ambient
+    module: PresentedModule            # block sum over the labels
 
     def offset(self, idx: int) -> int:
         return idx * self.summand.ambient
 
 
-def signed_shift_slice(src, a: int, n: int) -> SignedShiftSlice:
+def _shift_slice(src, a: int, n: int, labels: list) -> ShiftSlice:
+    ring = src.ring
+    if not labels:
+        empty = PresentedModule(ring, 0)
+        return ShiftSlice(a, n, [], empty, empty)
+    summand = src.slice_module(n - a)
+    rels = block_diagonal(ring, [summand.relations] * len(labels))
+    module = PresentedModule(ring, summand.ambient * len(labels), rels)
+    return ShiftSlice(a, n, labels, summand, module)
+
+
+def _place_blocks(ring, s_to: ShiftSlice, s_from: ShiftSlice,
+                  placements) -> Matrix:
+    """The matrix s_from.module -> s_to.module assembled from placements
+    (target label index, source label index, block, negate)."""
+    ent = {}
+    for ti, si, block, negate in placements:
+        roff, coff = s_to.offset(ti), s_from.offset(si)
+        for (r, c), v in block.entries.items():
+            ent[(roff + r, coff + c)] = ring.neg(v) if negate else v
+    return Matrix(ring, s_to.module.ambient, s_from.module.ambient, ent)
+
+
+# ---------------------------------------------------------------------------
+# signed slices and differentials
+
+def signed_shift_slice(src, a: int, n: int) -> ShiftSlice:
     """Level-a piece of the signed complex at degree n."""
     if a < 0 or n < 0:
         raise ValueError("level and degree must be >= 0")
-    ring = src.ring
-    if a > n:
-        return SignedShiftSlice(a, n, [], PresentedModule(ring, 0),
-                                PresentedModule(ring, 0))
-    summand = src.slice_module(n - a)
-    subsets = subsets_of_size(n, n - a)
-    rels = block_diagonal(ring, [summand.relations] * len(subsets))
-    module = PresentedModule(ring, summand.ambient * len(subsets), rels)
-    return SignedShiftSlice(a, n, subsets, summand, module)
+    return _shift_slice(src, a, n, subsets_of_size(n, n - a) if a <= n else [])
 
 
 def differential(src, a: int, n: int,
-                 source_slice: SignedShiftSlice | None = None,
-                 target_slice: SignedShiftSlice | None = None) -> ModuleMap:
+                 source_slice: ShiftSlice | None = None,
+                 target_slice: ShiftSlice | None = None) -> ModuleMap:
     """d: (level a) -> (level a-1) at degree n, 1 <= a <= n."""
     if not 1 <= a <= n:
         raise ValueError("differential needs 1 <= a <= n")
-    ring = src.ring
     s_from = source_slice or signed_shift_slice(src, a, n)
     s_to = target_slice or signed_shift_slice(src, a - 1, n)
-    tgt_index = {t: k for k, t in enumerate(s_to.subsets)}
+    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
     blocks: dict[int, Matrix] = {}   # insertion position -> induced matrix
-    ent: dict[tuple[int, int], object] = {}
-    for si, t in enumerate(s_from.subsets):
-        complement = [u for u in range(1, n + 1) if u not in t]
-        for i, u in enumerate(complement, start=1):
-            t2 = tuple(sorted(t + (u,)))
-            block = blocks.get(_insert_pos(t, u))
-            if block is None:
-                block = src.induced_matrix(position_injection(t, t2))
-                blocks[_insert_pos(t, u)] = block
-            sign = ring.one if i % 2 == 0 else ring.neg(ring.one)
-            roff = s_to.offset(tgt_index[t2])
-            coff = s_from.offset(si)
-            for (r, c), v in block.entries.items():
-                ent[(roff + r, coff + c)] = ring.mul(sign, v)
-    mat = Matrix(ring, s_to.module.ambient, s_from.module.ambient, ent)
+
+    def placements():
+        for si, t in enumerate(s_from.labels):
+            complement = [u for u in range(1, n + 1) if u not in t]
+            for i, u in enumerate(complement, start=1):
+                t2 = tuple(sorted(t + (u,)))
+                pos = _insert_pos(t, u)
+                if pos not in blocks:
+                    blocks[pos] = src.induced_matrix(position_injection(t, t2))
+                yield tgt_index[t2], si, blocks[pos], i % 2 == 1
+
+    mat = _place_blocks(src.ring, s_to, s_from, placements())
     return ModuleMap(s_from.module, s_to.module, mat)
 
 
@@ -105,11 +125,8 @@ def _insert_pos(t: tuple[int, ...], u: int) -> int:
 @dataclass
 class SliceComplex:
     degree: int
-    terms: list[SignedShiftSlice]          # levels 0..degree
+    terms: list[ShiftSlice]                # levels 0..degree
     differentials: list[ModuleMap]         # differentials[a-1]: level a -> a-1
-
-    def term(self, a: int) -> SignedShiftSlice:
-        return self.terms[a]
 
     def check_square_zero(self) -> bool:
         for a in range(2, self.degree + 1):
@@ -136,101 +153,76 @@ class HomologyResult:
     positions: dict[int, Invariants]
 
 
+class _FreeSlices:
+    """A slice source read in the free coordinates of its slices: slice m
+    is the relation-free R^{r_m}, and f acts by
+    coords_target @ M_f @ section_source."""
+
+    def __init__(self, src):
+        self.ring = src.ring
+        self._src = src
+        self._slices: dict[int, PresentedModule] = {}
+
+    def slice_module(self, m: int) -> PresentedModule:
+        if m not in self._slices:
+            coords = self._src.slice_module(m).free_coordinates()[0]
+            self._slices[m] = PresentedModule(self.ring, coords.nrows)
+        return self._slices[m]
+
+    def induced_matrix(self, f: Injection) -> Matrix:
+        coords = self._src.slice_module(f.target).free_coordinates()[0]
+        section = self._src.slice_module(f.source).free_coordinates()[1]
+        return coords @ self._src.induced_matrix(f) @ section
+
+
 def complex_homology(src, n: int, positions=None) -> HomologyResult:
     """Homology of the degree-n slice of the signed complex.
 
-    Over a field: dim H_a = dim(term a) - rank im(d_a) - rank im(d_{a+1}),
-    all computed on the presented quotients.
-
-    Over Z the slices must all be torsion-free, so level a is Z^{r_a} in the
-    free coordinates of its summands. Let L_a = coords_{a-1} @ d_a @
-    section_a be the lifted differential. Its image lies in the free group
-    Z^{r_{a-1}}, so ker L_a is a direct summand of Z^{r_a}, and
-    coker L_{a+1} ≅ H_a ⊕ Z^{rank L_a}. Hence H_a has the torsion of
-    coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}; one Smith
-    form (no transforms) of L_{a+1} and one rank of L_a per position. Only
-    the levels a-1..a+1 of the requested positions are built.
+    Every ring takes the route of the module docstring: with L_a the
+    differential in the free coordinates of the slices, im L_a lies in a
+    free module, so ker L_a is a direct summand and
+    coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a has the torsion of
+    coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}. Over Z the
+    slices must be torsion-free. Only the levels a-1..a+1 of the requested
+    positions are built.
     """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     ring = src.ring
     if positions is None:
         positions = range(0, n + 1)
     positions = sorted(set(positions))
     if any(a < 0 or a > n for a in positions):
         raise ValueError("positions must lie in 0..n")
-    if ring.is_field:
-        return _homology_field(src, n, positions)
-    if isinstance(ring, IntegerRing):
+    if not ring.is_field:
         for m in range(0, n + 1):
             if src.slice_module(m).invariants().torsion:
                 raise ValueError(
                     f"slice at degree {m} has torsion over Z; integer "
                     "homology supports free slices only - run field-wise "
                     "(Q and a prime list) instead")
-        return _homology_integer(src, n, positions)
-    raise ValueError(f"unsupported ring {ring}")
-
-
-def _homology_field(src, n: int, positions: list[int]) -> HomologyResult:
-    needed_terms = set()
-    for a in positions:
-        needed_terms.update({a, a - 1, a + 1})
-    terms = {a: signed_shift_slice(src, a, n)
-             for a in needed_terms if 0 <= a <= n}
-    rel_rank: dict[int, int] = {}
-    qdim: dict[int, int] = {}
-    for a, t in terms.items():
-        rel_rank[a] = t.module.relations.rank()
-        qdim[a] = t.module.ambient - rel_rank[a]
-
-    im_rank: dict[int, int] = {}
-
-    def image_rank(a: int) -> int:
-        # rank of the image of the induced map on quotients at level a
-        if a < 1 or a > n:
-            return 0
-        if a not in im_rank:
-            d = differential(src, a, n, terms[a], terms[a - 1])
-            stacked = hstack([d.matrix, terms[a - 1].module.relations])
-            im_rank[a] = stacked.rank() - rel_rank[a - 1]
-        return im_rank[a]
-
-    out = {}
-    for a in positions:
-        out[a] = Invariants(qdim[a] - image_rank(a) - image_rank(a + 1))
-    return HomologyResult(n, "field", out)
-
-
-def _homology_integer(src, n: int, positions: list[int]) -> HomologyResult:
-    ring = src.ring
+    free = _FreeSlices(src)
     levels = {b for a in positions for b in (a - 1, a, a + 1) if 0 <= b <= n}
-    terms = {b: signed_shift_slice(src, b, n) for b in levels}
-    frames = {b: _blockwise_free_coordinates(t) for b, t in terms.items()}
-    # L_b = coords_{b-1} @ d_b @ section_b, for the b that position a needs:
-    # its rank (b = a) and its image (b = a + 1)
-    lifted = {}
-    for b in {b for a in positions for b in (a, a + 1) if 1 <= b <= n}:
-        d = differential(src, b, n, terms[b], terms[b - 1])
-        lifted[b] = frames[b - 1][0] @ d.matrix @ frames[b][1]
+    terms = {b: signed_shift_slice(free, b, n) for b in levels}
+    cokers: dict[int, Invariants] = {}   # b -> coker L_b, with L_{n+1} = 0
+
+    def lifted(b: int) -> Matrix:
+        return differential(free, b, n, terms[b], terms[b - 1]).matrix
+
     out = {}
     for a in positions:
-        free = frames[a][0].nrows
-        boundaries = lifted[a + 1] if a < n else Matrix.zero(ring, free, 0)
-        coker = PresentedModule(ring, free, boundaries).invariants()
-        rank_out = lifted[a].rank() if a >= 1 else 0
-        out[a] = Invariants(coker.free_rank - rank_out, coker.torsion)
-    return HomologyResult(n, "integer-free-slices", out)
-
-
-def _blockwise_free_coordinates(t: SignedShiftSlice) -> tuple[Matrix, Matrix]:
-    """(coords, section) of a torsion-free level: identities when it has no
-    relations, else the summand's free coordinates once per block."""
-    ring = t.module.ring
-    if t.module.relations.is_zero():
-        ident = Matrix.identity(ring, t.module.ambient)
-        return ident, ident
-    c, s = t.summand.free_coordinates()
-    k = len(t.subsets)
-    return (block_diagonal(ring, [c] * k), block_diagonal(ring, [s] * k))
+        free_a = terms[a].module.ambient
+        image = lifted(a + 1) if a < n else Matrix.zero(ring, free_a, 0)
+        h = cokers[a + 1] = PresentedModule(ring, free_a, image).invariants()
+        if a == 0:
+            rank_in = 0
+        elif a in cokers:
+            rank_in = terms[a - 1].module.ambient - cokers[a].free_rank
+        else:
+            rank_in = lifted(a).rank()
+        out[a] = Invariants(h.free_rank - rank_in, h.torsion)
+    return HomologyResult(n, "field" if ring.is_field else
+                          "integer-free-slices", out)
 
 
 def homology_field_table(src_by_ring, n: int, positions=None) -> dict:
@@ -257,19 +249,13 @@ def homotopy_matrix(src, a: int, n: int) -> Matrix:
     summand T of [n] to the summand T of [n+1]; re-sorting the
     representative costs the sign (-1)^a.
     """
-    ring = src.ring
     s_from = signed_shift_slice(src, a, n)
     s_to = signed_shift_slice(src, a + 1, n + 1)
-    tgt_index = {t: k for k, t in enumerate(s_to.subsets)}
-    sign = ring.one if a % 2 == 0 else ring.neg(ring.one)
-    ent = {}
-    amb = s_from.summand_ambient
-    for si, t in enumerate(s_from.subsets):
-        roff = s_to.offset(tgt_index[t])
-        coff = s_from.offset(si)
-        for r in range(amb):
-            ent[(roff + r, coff + r)] = sign
-    return Matrix(ring, s_to.module.ambient, s_from.module.ambient, ent)
+    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
+    ident = Matrix.identity(src.ring, s_from.summand.ambient)
+    return _place_blocks(src.ring, s_to, s_from,
+                         ((tgt_index[t], si, ident, a % 2 == 1)
+                          for si, t in enumerate(s_from.labels)))
 
 
 def shift_one_matrix(src, a: int, n: int) -> Matrix:
@@ -279,20 +265,14 @@ def shift_one_matrix(src, a: int, n: int) -> Matrix:
     inclusion of its slice; the representative stays increasing, so no
     sign appears.
     """
-    ring = src.ring
     s_from = signed_shift_slice(src, a, n)
     s_to = signed_shift_slice(src, a, n + 1)
-    tgt_index = {t: k for k, t in enumerate(s_to.subsets)}
+    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
     block = src.induced_matrix(standard_inclusion(n - a, n - a + 1)) \
         if a <= n else None
-    ent = {}
-    for si, t in enumerate(s_from.subsets):
-        t2 = t + (n + 1,)
-        roff = s_to.offset(tgt_index[t2])
-        coff = s_from.offset(si)
-        for (r, c), v in block.entries.items():
-            ent[(roff + r, coff + c)] = v
-    return Matrix(ring, s_to.module.ambient, s_from.module.ambient, ent)
+    return _place_blocks(src.ring, s_to, s_from,
+                         ((tgt_index[t + (n + 1,)], si, block, False)
+                          for si, t in enumerate(s_from.labels)))
 
 
 def verify_chain_homotopy(src, a: int, n: int) -> bool:
@@ -436,29 +416,10 @@ def find_N(src, n_max: int) -> FindNReport:
 # ---------------------------------------------------------------------------
 # ordered (unsigned) shift slices, used for the free-module comparison
 
-@dataclass
-class OrderedShiftSlice:
-    level: int
-    degree: int
-    injections: list[Injection]        # f: [a] -> [n], lexicographic
-    summand: PresentedModule           # slice at degree - level
-    module: PresentedModule
-
-    def offset(self, idx: int) -> int:
-        return idx * self.summand.ambient
-
-
-def ordered_shift_slice(src, a: int, n: int) -> OrderedShiftSlice:
-    from .injections import enumerate_injections
-    ring = src.ring
-    if a > n:
-        return OrderedShiftSlice(a, n, [], PresentedModule(ring, 0),
-                                 PresentedModule(ring, 0))
-    injections = enumerate_injections(a, n)
-    summand = src.slice_module(n - a)
-    rels = block_diagonal(ring, [summand.relations] * len(injections))
-    module = PresentedModule(ring, summand.ambient * len(injections), rels)
-    return OrderedShiftSlice(a, n, injections, summand, module)
+def ordered_shift_slice(src, a: int, n: int) -> ShiftSlice:
+    """Level-a piece of the ordered shift at degree n: one summand per
+    injection [a] -> [n], in lexicographic order."""
+    return _shift_slice(src, a, n, enumerate_injections(a, n))
 
 
 def ordered_shift_structure_map(src, a: int, w: Injection) -> ModuleMap:
@@ -470,22 +431,20 @@ def ordered_shift_structure_map(src, a: int, w: Injection) -> ModuleMap:
     n, m = w.source, w.target
     s_from = ordered_shift_slice(src, a, n)
     s_to = ordered_shift_slice(src, a, m)
-    tgt_index = {f.images: k for k, f in enumerate(s_to.injections)}
-    ring = src.ring
-    ent = {}
-    for si, f in enumerate(s_from.injections):
-        wf = w.after(f)
-        comp_src = [v for v in range(1, n + 1) if v not in set(f.images)]
-        comp_tgt = sorted(v for v in range(1, m + 1) if v not in set(wf.images))
-        pos_tgt = {v: k + 1 for k, v in enumerate(comp_tgt)}
-        rho = Injection(len(comp_src), len(comp_tgt),
-                        tuple(pos_tgt[w(v)] for v in comp_src))
-        block = src.induced_matrix(rho)
-        roff = s_to.offset(tgt_index[wf.images])
-        coff = s_from.offset(si)
-        for (r, c), v in block.entries.items():
-            ent[(roff + r, coff + c)] = v
-    mat = Matrix(ring, s_to.module.ambient, s_from.module.ambient, ent)
+    tgt_index = {f.images: k for k, f in enumerate(s_to.labels)}
+
+    def placements():
+        for si, f in enumerate(s_from.labels):
+            wf = w.after(f)
+            comp_src = [v for v in range(1, n + 1) if v not in set(f.images)]
+            comp_tgt = sorted(v for v in range(1, m + 1)
+                              if v not in set(wf.images))
+            pos_tgt = {v: k + 1 for k, v in enumerate(comp_tgt)}
+            rho = Injection(len(comp_src), len(comp_tgt),
+                            tuple(pos_tgt[w(v)] for v in comp_src))
+            yield tgt_index[wf.images], si, src.induced_matrix(rho), False
+
+    mat = _place_blocks(src.ring, s_to, s_from, placements())
     return ModuleMap(s_from.module, s_to.module, mat)
 
 
@@ -499,7 +458,7 @@ def ordered_shift_free_iso(d: int, a: int, n: int, ring) -> Matrix:
     tgt = big.evaluate_slice(n)
     sl_small = src.evaluate_slice(n - a)
     ent = {}
-    for si, f in enumerate(s_from.injections):
+    for si, f in enumerate(s_from.labels):
         comp = sorted(v for v in range(1, n + 1) if v not in set(f.images))
         for k, (_, g) in enumerate(sl_small.basis):
             u = f.images + tuple(comp[v - 1] for v in g.images)

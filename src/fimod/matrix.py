@@ -553,9 +553,8 @@ class FieldReducer:
     """Reduction mod a column span over a field, with quotient coordinates.
 
     Built from a relation matrix R (ambient x k): `reduce` rewrites a vector
-    modulo colspan(R) onto the non-pivot coordinates, `coordinates` returns
-    the quotient coordinate vector, `section_column` embeds a quotient basis
-    vector back into the ambient space.
+    modulo colspan(R) onto the non-pivot coordinates `free`, and
+    `coordinates` returns the quotient coordinate vector.
     """
 
     def __init__(self, relations: Matrix):
@@ -566,16 +565,18 @@ class FieldReducer:
         self.ambient = relations.nrows
         rows, pivots = field_rref(relations.transpose())
         self.pivots = pivots              # ambient coordinates eliminated
-        self.free = [i for i in range(self.ambient) if i not in set(pivots)]
-        self._free_pos = {c: k for k, c in enumerate(self.free)}
         self._pivot_row = {min(r): r for r in rows}
+        self.free = [i for i in range(self.ambient) if i not in self._pivot_row]
+        self._free_pos = {c: k for k, c in enumerate(self.free)}
 
     def reduce(self, vec: dict[int, object]) -> dict[int, object]:
         ring = self.ring
         out = dict(vec)
-        for pc in self.pivots:
-            coef = out.get(pc)
-            if coef is None or ring.is_zero(coef):
+        # a reduced echelon row is zero in every other pivot column, so only
+        # the pivots present in vec need eliminating, in any order
+        for pc in [c for c in vec if c in self._pivot_row]:
+            coef = out[pc]
+            if ring.is_zero(coef):
                 out.pop(pc, None)
                 continue
             row = self._pivot_row[pc]
@@ -594,6 +595,3 @@ class FieldReducer:
     @property
     def quotient_dim(self) -> int:
         return len(self.free)
-
-    def section_column(self, k: int) -> dict[int, object]:
-        return {self.free[k]: self.ring.one}

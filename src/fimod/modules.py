@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import FieldReducer, Matrix, field_in_span, hstack
-from .rings import IntegerRing, RingSpec
-from .smith import integer_inverse, invariant_factors, smith_form
+from .rings import RingSpec
+from .smith import _snf_core, integer_inverse, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -84,29 +84,41 @@ class PresentedModule:
         return self._reducer
 
     def free_coordinates(self):
-        """Coordinate maps for a free Z-quotient: (coords, section) matrices.
+        """Coordinate maps for a free quotient: (coords, section) matrices.
 
         coords is (free_rank x ambient) and section (ambient x free_rank),
         with coords @ section = identity and with coords(v) the class of v
-        in a chosen basis of the quotient lattice. Only defined when the
-        quotient is torsion-free.
+        in a chosen basis of the quotient. Without relations both are the
+        identity. Over a field the basis is the reducer's non-pivot
+        coordinates; over Z it is read off the left Smith transform U
+        (coords its last rows, section the matching columns of U^-1), and
+        the quotient must be torsion-free.
         """
         if self._free_coords is None:
-            if not isinstance(self.ring, IntegerRing):
-                raise ValueError("free_coordinates is the Z path")
-            inv = self.invariants()
-            if inv.torsion:
-                raise ValueError("quotient has torsion; no free coordinates")
-            sf = smith_form(self.relations, transforms=True)
-            k = len(sf.factors)
-            u = sf.left
-            uinv = integer_inverse(u)
-            coords = Matrix(self.ring, self.ambient - k, self.ambient,
-                            {(i - k, j): v for (i, j), v in u.entries.items()
-                             if i >= k})
-            section = Matrix(self.ring, self.ambient, self.ambient - k,
-                             {(i, j - k): v for (i, j), v in uinv.entries.items()
-                              if j >= k})
+            ring, n = self.ring, self.ambient
+            if self.relations.is_zero():
+                coords = section = Matrix.identity(ring, n)
+            elif ring.is_field:
+                red = self.reducer()
+                k = red.quotient_dim
+                coords = Matrix.from_columns(
+                    ring, k, [red.coordinates({j: ring.one}) for j in range(n)])
+                section = Matrix(ring, n, k, {(c, i): ring.one
+                                              for i, c in enumerate(red.free)})
+            else:
+                if self.invariants().torsion:
+                    raise ValueError("quotient has torsion; no free coordinates")
+                a = [[int(v) for v in row]
+                     for row in self.relations.to_dense_rows()]
+                u = [[int(i == j) for j in range(n)] for i in range(n)]
+                k = len(_snf_core(a, n, self.relations.ncols, u, None))
+                uinv = integer_inverse(Matrix.from_rows(ring, u))
+                coords = Matrix(ring, n - k, n,
+                                {(i - k, j): v for i in range(k, n)
+                                 for j, v in enumerate(u[i])})
+                section = Matrix(ring, n, n - k,
+                                 {(i, j - k): v for (i, j), v
+                                  in uinv.entries.items() if j >= k})
             self._free_coords = (coords, section)
         return self._free_coords
 

@@ -42,8 +42,14 @@ def test_acceptance_criterion(label, runner):
     assert result.ok, f"{label}: {result.detail}"
 
 
-def test_acceptance_criterion_11_full_suite_envelope(capsys):
-    results = run_selftest(SEED)
+@pytest.fixture(scope="module")
+def seed_results():
+    """One run of the whole suite at SEED, shared by the tests below."""
+    return run_selftest(SEED)
+
+
+def test_acceptance_criterion_11_full_suite_envelope(seed_results, capsys):
+    results = seed_results
     with capsys.disabled():
         print()
         for r in results:
@@ -63,8 +69,8 @@ def test_selftest_passes_under_another_seed():
     assert not failures, failures
 
 
-def test_selftest_covers_every_criterion():
-    tags = {r.tag for r in run_selftest(SEED)}
+def test_selftest_covers_every_criterion(seed_results):
+    tags = {r.tag for r in seed_results}
     assert tags == {
         "free-slice-dimensions", "shift-splitting", "h0-support",
         "ordered-shift-free", "complex-identities",

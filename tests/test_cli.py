@@ -166,6 +166,31 @@ def test_degenerate_coefficient_exit_code(tmp_path, capsys, ring, coeff):
     assert err.startswith("fimod: error:")
 
 
+@pytest.mark.parametrize("where", ["generator degree", "relation degree",
+                                   "coefficient"])
+def test_out_of_range_number_exit_code(tmp_path, capsys, where):
+    # 1e999 parses to a float infinity, which no integer or fraction holds
+    degrees = {"generator degree": ("1e999", "2", '"1"'),
+               "relation degree": ("1", "1e999", '"1"'),
+               "coefficient": ("1", "2", "1e999")}[where]
+    bad = tmp_path / "huge.fim"
+    bad.write_text(
+        '{"ring": "Q", "generators": [%s], "relations": [{"degree": %s, '
+        '"terms": [{"gen": 0, "injection": [1], "coeff": %s}]}]}' % degrees)
+    assert main(["eval", "--module", str(bad), "--n", "0..2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("fimod: error:")
+
+
+@pytest.mark.parametrize("command", ["homology", "homotopy-check"])
+def test_negative_degree_exit_code(m2_file, capsys, command):
+    assert main([command, "--module", m2_file, "--n", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fimod: error: --n must be >= 0, got -1\n"
+
+
 def test_unwritable_out_exit_code(m2_file, tmp_path, capsys):
     dest = tmp_path / "missing" / "report.txt"
     assert main(["eval", "--module", m2_file, "--n", "0..2",

@@ -27,7 +27,7 @@ def test_signed_slice_sizes():
         for a in range(0, n + 1):
             assert signed_shift_slice(m0, a, n).module.ambient == math.comb(n, a)
     s = signed_shift_slice(free_presentation(QQ, 1), 1, 3)
-    assert len(s.subsets) == 3 and s.module.dim() == 6
+    assert len(s.labels) == 3 and s.module.dim() == 6
     # a > n gives the empty slice, not an error
     assert signed_shift_slice(m0, 4, 2).module.ambient == 0
 
@@ -50,15 +50,15 @@ def test_differential_component_is_signed_inclusion():
     s_to = signed_shift_slice(p, a - 1, n)
     d = differential(p, a, n).matrix
     t = (2,)                      # complement (1, 3): u = 1 sign -, u = 3 sign +
-    si = s_from.subsets.index(t)
+    si = s_from.labels.index(t)
     for u, sign in ((1, -1), (3, 1)):
         t2 = tuple(sorted(t + (u,)))
-        ti = s_to.subsets.index(t2)
+        ti = s_to.labels.index(t2)
         block = {}
         for (r, c), v in d.entries.items():
-            if s_to.offset(ti) <= r < s_to.offset(ti) + s_to.summand_ambient \
+            if s_to.offset(ti) <= r < s_to.offset(ti) + s_to.summand.ambient \
                     and s_from.offset(si) <= c < s_from.offset(si) + \
-                    s_from.summand_ambient:
+                    s_from.summand.ambient:
                 block[(r - s_to.offset(ti), c - s_from.offset(si))] = v
         pos = {v: k + 1 for k, v in enumerate(t2)}
         rho = Injection(1, 2, (pos[t[0]],))
@@ -164,6 +164,44 @@ def test_integer_homology_matches_rational_on_free_slices():
         assert not rz.positions[a].torsion
 
 
+def ambient_homology_reference(src, n):
+    """Field homology of the degree-n slice complex in ambient coordinates.
+
+    dim H_a = dim(level a) - rank im(d_a) - rank im(d_{a+1}), where the
+    image of d_a on the presented quotients has rank
+    rank [d_a | R_{a-1}] - rank R_{a-1}.
+    """
+    cx = slice_complex(src, n)
+    rel = [t.module.relations.rank() for t in cx.terms]
+    image = [0] * (n + 2)
+    for a in range(1, n + 1):
+        stacked = hstack([cx.differentials[a - 1].matrix,
+                          cx.terms[a - 1].module.relations])
+        image[a] = stacked.rank() - rel[a - 1]
+    return {a: Invariants(cx.terms[a].module.ambient - rel[a] - image[a]
+                          - image[a + 1])
+            for a in range(n + 1)}
+
+
+FIELDS = [QQ, GF(2), GF(3), GF(5)]
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=lambda r: r.name)
+def test_field_homology_matches_ambient_reference(ring):
+    from fimod.arnold import ArnoldModule
+    sources = [(free_presentation(ring, d), 6) for d in (0, 1, 2)]
+    sources += [(ArnoldModule(m, ring), 6) for m in (0, 1, 2)]
+    for seed in (0, 1, 2):
+        sources += [(instantiate(s, ring), 5)
+                    for s in seeded_structures(seed, 20)]
+    for src, n_max in sources:
+        for n in range(n_max + 1):
+            got = complex_homology(src, n)
+            assert got.mode == "field"
+            assert got.positions == ambient_homology_reference(src, n), \
+                (src, n)
+
+
 def lattice_homology_reference(src, n):
     """Integer homology of the degree-n slice complex by kernel lattices.
 
@@ -175,7 +213,7 @@ def lattice_homology_reference(src, n):
     cx = slice_complex(src, n)
     coords, sections = [], []
     for t in cx.terms:
-        k = len(t.subsets)
+        k = len(t.labels)
         if t.module.relations.is_zero():
             c = s = Matrix.identity(ZZ, t.module.ambient)
         else:
@@ -263,6 +301,12 @@ def test_integer_homology_matches_lattice_reference():
                 lattice_homology_reference(src, n), (src, n)
             checked += 1
     assert checked >= 140
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ])
+def test_homology_rejects_negative_degree(ring):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        complex_homology(free_presentation(ring, 1), -1)
 
 
 def test_integer_homology_refuses_torsion_slices():

@@ -131,6 +131,24 @@ def test_field_reducer_coordinates():
     assert red.reduce({0: Fraction(1), 1: Fraction(1)}) == {}
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5)], ids=lambda r: r.name)
+def test_field_reducer_reduces_onto_free_coordinates(ring):
+    # reduce(v) has no pivot coordinate and differs from v by a relation
+    for seed in range(4):
+        rel = sparse_matrix(ring, random_sparse_rows(seed, 12, 7, 0.3))
+        red = FieldReducer(rel)
+        rng = random.Random(seed)
+        vecs = [{j: ring.one} for j in range(12)]
+        vecs += [{j: ring.coerce(rng.randint(-3, 3))
+                  for j in rng.sample(range(12), 4)} for _ in range(5)]
+        for v in vecs:
+            r = red.reduce(v)
+            assert set(r) <= set(red.free)
+            diff = {i: ring.sub(v.get(i, ring.zero), r.get(i, ring.zero))
+                    for i in set(v) | set(r)}
+            assert field_in_span(rel, Matrix.from_columns(ring, 12, [diff]))
+
+
 # ---------------------------------------------------------------------------
 # differential tests of the sparse eliminator against dense references
 
