@@ -1,14 +1,14 @@
 import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from fimod.coinvariants import (MultiIndex, coinvariant_dim,
-                                coinvariant_dual_map, coinvariant_table,
-                                invariant_basis, monomials, sym_generators)
+from fimod.coinvariants import (MultiIndex, _positive_subdegrees,
+                                coinvariant_dim, coinvariant_dual_map,
+                                coinvariant_table, invariant_basis, monomials)
 from fimod.injections import Injection, identity_injection
-from fimod.matrix import Matrix
+from fimod.matrix import Matrix, field_kernel_basis, vstack
 from fimod.rings import GF, QQ, ZZ
 
 
@@ -40,6 +40,85 @@ def test_table_examples():
     assert t0.values == [1] * 6
 
 
+# -- the kernel route invariant_basis replaced, kept as a reference: the
+# invariants of the permutation action are the joint kernel of (sigma - 1)
+# over two generators of S_n.
+
+def sym_generators(n):
+    """The transposition (1 2) and the n-cycle, as image tuples; empty for n <= 1."""
+    if n <= 1:
+        return []
+    transposition = tuple([2, 1] + list(range(3, n + 1)))
+    cycle = tuple(list(range(2, n + 1)) + [1])
+    return [transposition, cycle]
+
+
+def permute_monomial(mono, perm):
+    """Action substituting variable t by variable perm[t-1] in each group."""
+    n = len(perm)
+    out = []
+    for row in mono:
+        new = [0] * n
+        for t in range(n):
+            new[perm[t] - 1] = row[t]
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def kernel_invariant_reference(spec, n, ring, generators=None):
+    """(monomials, field_kernel_basis of the stacked sigma - 1)."""
+    monos = monomials(spec, n)
+    if not monos:
+        return monos, []
+    gens = sym_generators(n) if generators is None else generators
+    if not gens:
+        return monos, [{k: ring.one} for k in range(len(monos))]
+    index = {m: k for k, m in enumerate(monos)}
+    stacked = []
+    for perm in gens:
+        ent = {}
+        for k, mono in enumerate(monos):
+            moved = index[permute_monomial(mono, perm)]
+            if moved != k:
+                ent[(moved, k)] = ring.one
+                ent[(k, k)] = ring.neg(ring.one)
+        stacked.append(Matrix(ring, len(monos), len(monos), ent))
+    return monos, field_kernel_basis(vstack(stacked))
+
+
+def _invariant_cases():
+    for r in (1, 2, 3):
+        for J in product(range(3), repeat=r):
+            for n in range(6 if r < 3 else 4):
+                yield MultiIndex(r, J), n
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)])
+def test_invariant_basis_matches_kernel_reference(ring):
+    for spec, n in _invariant_cases():
+        assert invariant_basis(spec, n, ring) == \
+            kernel_invariant_reference(spec, n, ring), (spec, n, ring.name)
+
+
+def test_generator_pair_independence():
+    def reversed_pair(n):
+        tr = list(range(1, n + 1))
+        tr[-2], tr[-1] = tr[-1], tr[-2]
+        cyc = tuple([n] + list(range(1, n)))
+        return [tuple(tr), cyc]
+
+    for spec in (MultiIndex(1, (2,)), MultiIndex(2, (1, 2))):
+        for n in (2, 3, 4):
+            assert invariant_basis(spec, n, QQ) == kernel_invariant_reference(
+                spec, n, QQ, generators=reversed_pair(n))
+
+
+def test_sym_generators_degenerate():
+    assert sym_generators(0) == []
+    assert sym_generators(1) == []
+    assert sym_generators(2) == [(2, 1), (2, 1)]
+
+
 # -- independent oracle: invariants are spanned by monomial orbit sums under
 # the full symmetric group, over any field; ranks via dense elimination.
 
@@ -47,13 +126,12 @@ def orbit_sum_ideal_rank(spec, n, ring):
     monos = monomials(spec, n)
     index = {m: k for k, m in enumerate(monos)}
     columns = []
-    from fimod.coinvariants import _positive_subdegrees, _permute_monomial
     for jp in _positive_subdegrees(spec.J):
         sub = MultiIndex(spec.r, tuple(jp))
         sub_monos = monomials(sub, n)
         orbits = {}
         for mono in sub_monos:
-            orbit = frozenset(_permute_monomial(mono, perm)
+            orbit = frozenset(permute_monomial(mono, perm)
                               for perm in permutations(range(1, n + 1)))
             orbits[orbit] = orbit
         rest = MultiIndex(spec.r, tuple(j - p for j, p in zip(spec.J, jp)))
@@ -89,26 +167,11 @@ def test_invariant_dimension_matches_orbit_count():
         for spec, n in [(MultiIndex(1, (2,)), 4), (MultiIndex(2, (1, 1)), 3)]:
             monos, kernel = invariant_basis(spec, n, ring)
             orbits = set()
-            from fimod.coinvariants import _permute_monomial
             for mono in monos:
                 orbits.add(frozenset(
-                    _permute_monomial(mono, perm)
+                    permute_monomial(mono, perm)
                     for perm in permutations(range(1, n + 1))))
             assert len(kernel) == len(orbits)
-
-
-def test_generator_pair_independence():
-    def reversed_pair(n):
-        tr = list(range(1, n + 1))
-        tr[-2], tr[-1] = tr[-1], tr[-2]
-        cyc = tuple([n] + list(range(1, n)))
-        return [tuple(tr), cyc]
-
-    for n in (2, 3, 4):
-        default = coinvariant_dim(MultiIndex(1, (2,)), n, QQ).dim
-        other = coinvariant_dim(MultiIndex(1, (2,)), n, QQ,
-                                generators=reversed_pair(n)).dim
-        assert default == other
 
 
 def test_semicontinuity_rational_vs_mod_p():
@@ -149,8 +212,3 @@ def test_dual_map_functoriality():
             coinvariant_dual_map(spec, f, QQ)
         assert lhs == rhs
 
-
-def test_sym_generators_degenerate():
-    assert sym_generators(0) == []
-    assert sym_generators(1) == []
-    assert sym_generators(2) == [(2, 1), (2, 1)]

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from fimod.arnold import ArnoldModule
 from fimod.coinvariants import MultiIndex, ideal_matrix
-from fimod.matrix import (FieldReducer, Matrix, field_in_span,
-                          field_kernel_basis, field_rref, hstack, vstack)
+from fimod.matrix import (FieldReducer, Matrix, SparseEliminator,
+                          _ReducedEchelon, field_in_span, field_kernel_basis,
+                          field_rref, hstack, vstack)
 from fimod.rings import GF, QQ, ZZ
 from fimod.smith import _snf_core, invariant_factors
 
@@ -224,6 +225,43 @@ def test_field_rref_matches_dense_reference(label):
         _rational_reference(label)
     assert field_rref(sparse_matrix(GF(5), rows)) == \
         dense_rref_reference(rows, 5)
+
+
+def fraction_rref_reference(m):
+    """The reduced-echelon policy on Fraction rows: field_rref over Q as it
+    ran before it moved to integer rows."""
+    elim = SparseEliminator(m.nonzero_rows(), _ReducedEchelon(QQ),
+                            reduced=True)
+    elim.run()
+    done = sorted(elim.finished.values(), key=min)
+    return done, [min(r) for r in done]
+
+
+def _rational_rref_inputs():
+    """Seeded sparse matrices with denominators 2 and 3, and the coinvariant
+    ideal r=2, J=(2,2), n=6 (too large for the dense reference) with its
+    transpose."""
+    inputs = {}
+    for seed, (nr, nc, density) in enumerate(
+            [(8, 11, 0.4), (20, 15, 0.2), (35, 30, 0.1), (50, 40, 0.06)]):
+        rng = random.Random(100 + seed)
+        rows = random_sparse_rows(seed, nr, nc, density)
+        inputs[f"rational-{seed}"] = sparse_matrix(
+            QQ, [[Fraction(v, rng.choice((1, 2, 3))) for v in row]
+                 for row in rows])
+    ideal = ideal_matrix(MultiIndex(2, (2, 2)), 6, QQ)
+    inputs["coinv-r2-J22-n6"] = ideal
+    inputs["coinv-r2-J22-n6-transpose"] = ideal.transpose()
+    return inputs
+
+
+RATIONAL_RREF_INPUTS = _rational_rref_inputs()
+
+
+@pytest.mark.parametrize("label", sorted(RATIONAL_RREF_INPUTS))
+def test_field_rref_matches_fraction_reference(label):
+    m = RATIONAL_RREF_INPUTS[label]
+    assert field_rref(m) == fraction_rref_reference(m)
 
 
 small_matrices = st.integers(1, 6).flatmap(
