@@ -8,6 +8,7 @@ failures but at least one inconclusive, 3 usage, parse or write error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -449,7 +450,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process. Parsing leaves nothing on
+    it (no append actions, no mutable defaults), so one tree serves every
+    call of `main`."""
     parser = _Parser(prog="fimod",
                      description="Exact workbench for finitely presented "
                                  "FI-modules over Q, F_p and Z")

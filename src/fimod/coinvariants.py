@@ -3,9 +3,10 @@
 For r groups of n variables and a multidegree J, the degree-J slice of the
 coinvariant algebra is the monomial span modulo the ideal slice generated
 by symmetric-group invariants of positive multidegree times complementary
-monomials. Invariant subspaces are computed as joint kernels of (sigma - 1)
-for two group generators, never by averaging, so every characteristic is
-handled uniformly.
+monomials. S_n permutes the monomials of each multidegree, and the
+invariants of a permutation module have the orbit sums as a basis over
+every ring. So the invariants are read off the orbits, with no linear
+algebra and no averaging, and every characteristic is handled uniformly.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .injections import Injection
-from .matrix import FieldReducer, Matrix, field_kernel_basis, vstack
+from .matrix import FieldReducer, Matrix
 from .modules import PresentedModule
 from .rings import RingSpec
 
@@ -53,50 +54,22 @@ def monomials(spec: MultiIndex, n: int) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(choice) for choice in iter_product(*rows_per_group)]
 
 
-def sym_generators(n: int) -> list[tuple[int, ...]]:
-    """The transposition (1 2) and the n-cycle, as image tuples; empty for n <= 1."""
-    if n <= 1:
-        return []
-    transposition = tuple([2, 1] + list(range(3, n + 1)))
-    cycle = tuple(list(range(2, n + 1)) + [1])
-    return [transposition, cycle]
+def invariant_basis(spec: MultiIndex, n: int, ring: RingSpec):
+    """Basis (column dicts over the monomial list) of the invariant subspace:
+    the orbit sums, sorted by their largest monomial index.
 
-
-def _permute_monomial(mono, perm: tuple[int, ...]):
-    """Action substituting variable t by variable perm[t-1] in each group."""
-    n = len(perm)
-    out = []
-    for row in mono:
-        new = [0] * n
-        for t in range(n):
-            new[perm[t] - 1] = row[t]
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def invariant_basis(spec: MultiIndex, n: int, ring: RingSpec,
-                    generators: list[tuple[int, ...]] | None = None):
-    """Basis (column dicts over the monomial list) of the invariant subspace."""
+    Permuting the variables permutes the columns of an exponent matrix, so
+    two monomials share an orbit exactly when their columns agree as a
+    multiset.
+    """
     if not ring.is_field:
         raise ValueError("coinvariant computations are field-only")
     monos = monomials(spec, n)
-    if not monos:
-        return monos, []
-    gens = sym_generators(n) if generators is None else generators
-    if not gens:
-        return monos, [{k: ring.one} for k in range(len(monos))]
-    index = {m: k for k, m in enumerate(monos)}
-    stacked = []
-    for perm in gens:
-        ent = {}
-        for k, mono in enumerate(monos):
-            moved = index[_permute_monomial(mono, perm)]
-            if moved != k:
-                ent[(moved, k)] = ring.one
-                ent[(k, k)] = ring.neg(ring.one)
-        stacked.append(Matrix(ring, len(monos), len(monos), ent))
-    kernel = field_kernel_basis(vstack(stacked))
-    return monos, kernel
+    orbits: dict = {}
+    for k, mono in enumerate(monos):
+        orbits.setdefault(tuple(sorted(zip(*mono))), []).append(k)
+    basis = sorted(orbits.values(), key=lambda orbit: orbit[-1])
+    return monos, [{k: ring.one for k in orbit} for orbit in basis]
 
 
 def _positive_subdegrees(J: tuple[int, ...]):
@@ -105,8 +78,7 @@ def _positive_subdegrees(J: tuple[int, ...]):
             yield jp
 
 
-def ideal_matrix(spec: MultiIndex, n: int, ring: RingSpec,
-                 generators: list[tuple[int, ...]] | None = None) -> Matrix:
+def ideal_matrix(spec: MultiIndex, n: int, ring: RingSpec) -> Matrix:
     """Columns spanning the degree-J ideal slice inside the monomial span.
 
     For every positive subdegree J', multiply each invariant of degree J'
@@ -117,7 +89,7 @@ def ideal_matrix(spec: MultiIndex, n: int, ring: RingSpec,
     cols = []
     for jp in _positive_subdegrees(spec.J):
         sub = MultiIndex(spec.r, tuple(jp))
-        sub_monos, inv = invariant_basis(sub, n, ring, generators)
+        sub_monos, inv = invariant_basis(sub, n, ring)
         if not inv:
             continue
         rest = MultiIndex(spec.r,
@@ -147,9 +119,7 @@ class CoinvariantRow:
         return self.poly_dim - self.ideal_rank
 
 
-def coinvariant_dim(spec: MultiIndex, n: int, ring: RingSpec,
-                    generators: list[tuple[int, ...]] | None = None
-                    ) -> CoinvariantRow:
+def coinvariant_dim(spec: MultiIndex, n: int, ring: RingSpec) -> CoinvariantRow:
     """One row of dimension data for the degree-J coinvariant slice."""
     if not ring.is_field:
         raise ValueError("coinvariant computations are field-only; "
@@ -159,7 +129,7 @@ def coinvariant_dim(spec: MultiIndex, n: int, ring: RingSpec,
     monos = monomials(spec, n)
     if n == 0 or not monos:
         return CoinvariantRow(n, len(monos), 0)
-    ideal = ideal_matrix(spec, n, ring, generators)
+    ideal = ideal_matrix(spec, n, ring)
     return CoinvariantRow(n, len(monos), ideal.rank())
 
 

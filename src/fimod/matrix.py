@@ -26,14 +26,18 @@ pivot costs heap pops instead of a scan over every row. A small
   leading column ever moves left, so the result is the unique reduced
   echelon form, which `FieldReducer.free`, `field_kernel_basis` and the
   coinvariant maps rely on. A Markowitz column would give another basis.
+  Over F_p each pivot row is scaled to 1 as it is taken. Over Q the rows
+  are fraction-free: primitive integer rows with the row update of the
+  rank mode, each finished row divided by its pivot only at the end.
 
 Ranks, invariant factors and reduced echelon forms do not depend on the
 pivot order, so results do not depend on how the heap breaks ties.
-Field-side solving, kernels and span membership run on Fraction / mod-p
-arithmetic directly.
+Field kernels and `FieldReducer` read the rref rows in the ring's own
+arithmetic (Fraction over Q, mod p over F_p); span membership is two ranks.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -430,14 +434,16 @@ def _rank_mod_p_dense(rows: list[list[int]], p: int) -> int:
 # chosen unit-first, shortest column next, which keeps growth negligible on
 # the permutation-like matrices slices produce.
 
-def _integer_rows(m: Matrix) -> dict[int, dict[int, int]]:
+def _primitive_rows(m: Matrix) -> dict[int, dict[int, int]]:
+    """The nonzero rows scaled to integers and divided by their content."""
     rows = m.nonzero_rows()
-    if isinstance(m.ring, RationalField):
-        for i, row in rows.items():
+    for i, row in rows.items():
+        if isinstance(m.ring, RationalField):
             den = 1
             for v in row.values():
                 den = den * v.denominator // gcd(den, v.denominator)
-            rows[i] = {j: int(v * den) for j, v in row.items()}
+            rows[i] = row = {j: int(v * den) for j, v in row.items()}
+        _reduce_content(row)
     return rows
 
 
@@ -478,33 +484,26 @@ class _FractionFree(PivotPolicy):
 
 
 def _rank_fraction_free(m: Matrix) -> int:
-    rows = _integer_rows(m)
-    for row in rows.values():
-        _reduce_content(row)
-    return SparseEliminator(rows, _FractionFree()).run()
+    return SparseEliminator(_primitive_rows(m), _FractionFree()).run()
 
 
 # ---------------------------------------------------------------------------
 # field-side echelon machinery: kernels, span membership, reducers.
 
-class _ReducedEchelon(PivotPolicy):
-    """Pivot on the row's first column, pivot row scaled to 1. Rows come
-    off the heap already reduced by every earlier pivot, so min(row) is the
-    row's leading column, and back-elimination never gives a finished row
-    an entry left of its own pivot: the result is the unique reduced
-    echelon form. Markowitz choice would break this."""
-
-    def __init__(self, ring: RingSpec):
-        self.ring = ring
-        self.p = ring.p if isinstance(ring, PrimeField) else 0
+class _ModPEchelon(_ModP):
+    """rref over F_p: the reduced-echelon column, min(row)."""
 
     def column(self, row, cols):
         return min(row)
 
-    def pivot(self, row, pc):
-        ring = self.ring
-        inv = ring.inv(row[pc])
-        return {c: ring.mul(inv, v) for c, v in row.items()}
+
+class _FractionFreeEchelon(_FractionFree):
+    """rref over Q: the reduced-echelon column, min(row). Every row stays a
+    nonzero multiple of its Fraction counterpart, so dividing each finished
+    row by its pivot gives the reduced echelon form."""
+
+    def column(self, row, cols):
+        return min(row)
 
 
 def field_rref(m: Matrix) -> tuple[list[dict[int, object]], list[int]]:
@@ -517,11 +516,19 @@ def field_rref(m: Matrix) -> tuple[list[dict[int, object]], list[int]]:
     ring = m.ring
     if not ring.is_field:
         raise ValueError("field_rref needs a field")
-    elim = SparseEliminator(m.nonzero_rows(), _ReducedEchelon(ring),
-                            reduced=True)
+    modular = isinstance(ring, PrimeField)
+    if modular:
+        rows, policy = m.nonzero_rows(), _ModPEchelon(ring.p)
+    else:
+        rows, policy = _primitive_rows(m), _FractionFreeEchelon()
+    elim = SparseEliminator(rows, policy, reduced=True)
     elim.run()
     done = sorted(elim.finished.values(), key=min)
-    return done, [min(r) for r in done]
+    pivots = [min(r) for r in done]
+    if not modular:
+        done = [{c: Fraction(v, row[pc]) for c, v in row.items()}
+                for row, pc in zip(done, pivots)]
+    return done, pivots
 
 
 def field_kernel_basis(m: Matrix) -> list[dict[int, object]]:

@@ -215,16 +215,20 @@ class FIPresentation:
     @classmethod
     def from_document(cls, doc: dict, ring: RingSpec | None = None) -> "FIPresentation":
         ring = ring if ring is not None else ring_from_token(doc["ring"])
-        gens = doc["generators"]
+        gens = [_json_int(d, "generator degree") for d in doc["generators"]]
         rels = []
         for rd in doc.get("relations", []):
-            degree = int(rd["degree"])
+            degree = _json_int(rd["degree"], "relation degree")
             terms = {}
             for t in rd["terms"]:
-                inj = Injection(len(t["injection"]), degree,
-                                tuple(int(x) for x in t["injection"]))
-                coeff = ring.coerce(Fraction(t["coeff"]))
-                key = (int(t["gen"]), inj)
+                inj = Injection(len(t["injection"]), degree, tuple(
+                    _json_int(x, "injection entry") for x in t["injection"]))
+                coeff = t["coeff"]
+                if type(coeff) not in (int, str):
+                    raise ValueError("a coefficient must be an integer or a "
+                                     f"string, got {coeff!r}")
+                coeff = ring.coerce(Fraction(coeff))
+                key = (_json_int(t["gen"], "gen"), inj)
                 if key in terms:
                     raise ValueError("duplicate (gen, injection) term")
                 terms[key] = coeff
@@ -238,6 +242,14 @@ class FIPresentation:
     def __repr__(self):
         return (f"FIPresentation({self.ring}, gens={self.generator_degrees}, "
                 f"{len(self.relations)} relations)")
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer, refusing floats (which int() would truncate) and
+    booleans (which Python counts as integers)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def free_presentation(ring: RingSpec, *degrees: int) -> FIPresentation:

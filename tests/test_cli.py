@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fimod.cli import main
+from fimod.cli import build_parser, main
 from fimod.presentations import FIPresentation, FreeElement, free_presentation
 from fimod.injections import Injection
 from fimod.rings import QQ, ZZ
@@ -183,6 +183,27 @@ def test_out_of_range_number_exit_code(tmp_path, capsys, where):
     assert err.startswith("fimod: error:")
 
 
+@pytest.mark.parametrize("generators,degree,coeff", [
+    ("[1.7]", "2", '"1"'),       # int() would truncate to 1
+    ("[1]", "2.9", '"1"'),
+    ("[1]", "2", "0.1"),         # Fraction(0.1) is a binary fraction
+    ("[true]", "2", '"1"'),      # bool counts as an int in Python
+    ("[1]", "true", '"1"'),
+])
+def test_non_integral_number_exit_code(tmp_path, capsys, generators, degree,
+                                       coeff):
+    bad = tmp_path / "float.fim"
+    bad.write_text(
+        '{"ring": "Q", "generators": %s, "relations": [{"degree": %s, '
+        '"terms": [{"gen": 0, "injection": [1], "coeff": %s}]}]}'
+        % (generators, degree, coeff))
+    assert main(["eval", "--module", str(bad), "--n", "0..2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fimod: error:")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["homology", "homotopy-check"])
 def test_negative_degree_exit_code(m2_file, capsys, command):
     assert main([command, "--module", m2_file, "--n", "-1"]) == 3
@@ -212,6 +233,36 @@ def test_unwritable_emit_exit_code(m2_file, tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["eval", "--n", "0..2"]) == 3
+
+
+def test_one_parser_serves_many_commands(m2_file, tmp_path, capsys):
+    out_path = tmp_path / "report.txt"
+    commands = [
+        ["eval", "--module", m2_file, "--n", "0..3"],
+        ["coinv", "--r", "1", "--J", "2", "--ring", "F3", "--n", "1..4"],
+        ["arnold", "--m", "1", "--n", "2..5", "--ring", "Z", "--fit"],
+        ["homology", "--module", m2_file, "--n", "3"],
+        ["eval", "--n", "0..2"],
+        ["eval", "--module", m2_file, "--n", "0..2", "--out", str(out_path)],
+        ["eval", "--module", m2_file, "--n", "0..4"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in commands]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 3, 0, 0]
+    # the --out of one call does not carry over to the next
+    assert out_path.read_text() == shared[5][1]
 
 
 def test_reports_byte_identical(m2_file, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fimod.arnold import ArnoldModule
 from fimod.coinvariants import MultiIndex, ideal_matrix
-from fimod.matrix import (FieldReducer, Matrix, SparseEliminator,
-                          _ReducedEchelon, field_in_span, field_kernel_basis,
+from fimod.matrix import (FieldReducer, Matrix, PivotPolicy,
+                          SparseEliminator, field_in_span, field_kernel_basis,
                           field_rref, hstack, vstack)
 from fimod.rings import GF, QQ, ZZ
 from fimod.smith import _snf_core, invariant_factors
@@ -227,10 +227,21 @@ def test_field_rref_matches_dense_reference(label):
         dense_rref_reference(rows, 5)
 
 
+class FractionReducedEchelon(PivotPolicy):
+    """field_rref's policy over Q before it moved to integer rows: pivot on
+    min(row), pivot row scaled to 1 in Fraction arithmetic."""
+
+    def column(self, row, cols):
+        return min(row)
+
+    def pivot(self, row, pc):
+        inv = 1 / row[pc]
+        return {c: inv * v for c, v in row.items()}
+
+
 def fraction_rref_reference(m):
-    """The reduced-echelon policy on Fraction rows: field_rref over Q as it
-    ran before it moved to integer rows."""
-    elim = SparseEliminator(m.nonzero_rows(), _ReducedEchelon(QQ),
+    """The sparse eliminator on Fraction rows, as field_rref ran over Q."""
+    elim = SparseEliminator(m.nonzero_rows(), FractionReducedEchelon(),
                             reduced=True)
     elim.run()
     done = sorted(elim.finished.values(), key=min)

@@ -130,6 +130,24 @@ def test_document_rejects_bad_terms():
         FIPresentation.from_document(doc)   # source size 2 != generator degree 1
 
 
+@pytest.mark.parametrize("term", [
+    {"gen": 0.0, "injection": [1], "coeff": "1"},
+    {"gen": False, "injection": [1], "coeff": "1"},
+    {"gen": 0, "injection": [1.0], "coeff": "1"},
+    {"gen": 0, "injection": [1], "coeff": 1.5},
+    {"gen": 0, "injection": [1], "coeff": None},
+])
+def test_document_rejects_non_integral_numbers(term):
+    doc = {"ring": "Q", "generators": [1],
+           "relations": [{"degree": 2, "terms": [term]}]}
+    with pytest.raises(ValueError):
+        FIPresentation.from_document(doc)
+    doc["relations"][0]["terms"] = [{"gen": 0, "injection": [1],
+                                     "coeff": -2}]
+    assert FIPresentation.from_document(doc).relations[0].terms == \
+        {(0, Injection(1, 2, (1,))): -2}
+
+
 def test_slice_cache_shares_instances():
     a = free_presentation(QQ, 2)
     b = free_presentation(QQ, 2)
