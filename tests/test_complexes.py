@@ -17,8 +17,9 @@ from fimod.modules import Invariants, PresentedModule, is_isomorphism
 from fimod.presentations import FIPresentation, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
-from fimod.smith import IntegerSolver, integer_kernel_basis
 from tests.test_presentations import torsion_module
+from tests.test_smith import (snf_free_coordinates_reference,
+                              snf_kernel_reference, snf_solver_reference)
 
 
 def test_signed_slice_sizes():
@@ -208,7 +209,8 @@ def lattice_homology_reference(src, n):
     Lifts every differential to free coordinates of the slices, takes a
     basis of ker L_a from a transform Smith form, solves every boundary
     column of L_{a+1} into that basis and reads H_a off the Smith form of
-    the resulting relation matrix.
+    the resulting relation matrix. Free coordinates, kernels and solving
+    all come from the transform-Smith references, not the code under test.
     """
     cx = slice_complex(src, n)
     coords, sections = [], []
@@ -217,7 +219,7 @@ def lattice_homology_reference(src, n):
         if t.module.relations.is_zero():
             c = s = Matrix.identity(ZZ, t.module.ambient)
         else:
-            c0, s0 = t.summand.free_coordinates()
+            c0, s0 = snf_free_coordinates_reference(t.summand)
             c, s = block_diagonal(ZZ, [c0] * k), block_diagonal(ZZ, [s0] * k)
         coords.append(c)
         sections.append(s)
@@ -226,16 +228,17 @@ def lattice_homology_reference(src, n):
     out = {}
     for a in range(n + 1):
         rank_a = coords[a].nrows
-        kernel = integer_kernel_basis(lifted[a]) if a >= 1 \
+        kernel = snf_kernel_reference(lifted[a]) if a >= 1 \
             else [{j: 1} for j in range(rank_a)]
         if not kernel:
             out[a] = Invariants(0)
             continue
         cols = []
         if a + 1 <= n and not lifted[a + 1].is_zero():
-            solver = IntegerSolver(Matrix.from_columns(ZZ, rank_a, kernel))
+            solve = snf_solver_reference(
+                Matrix.from_columns(ZZ, rank_a, kernel))
             for col in lifted[a + 1].columns():
-                sol = solver.solve(col)
+                sol = solve(col)
                 assert sol is not None, "boundary escaped the cycle lattice"
                 cols.append(sol)
         inner = Matrix.from_columns(ZZ, len(kernel), cols) if cols \

@@ -1,14 +1,135 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from fimod.matrix import Matrix
+from fimod.matrix import Matrix, apply_columns
+from fimod.modules import PresentedModule
 from fimod.rings import QQ, ZZ
+from fimod.sampling import instantiate, seeded_structures
 from fimod.smith import (IntegerSolver, SmithForm, integer_inverse,
                          integer_in_span, integer_kernel_basis,
                          invariant_factors, lattice_canonical, smith_form)
 from tests.test_matrix import (DIFFERENTIAL_INPUTS, dense_snf_reference,
                                random_sparse_rows, sparse_matrix)
+
+
+# ---------------------------------------------------------------------------
+# references: kernels and solving from a transform Smith form, inverses by
+# Gauss-Jordan over Fractions
+
+def snf_kernel_reference(m):
+    """Basis of ker m: the last columns of the right Smith transform V."""
+    if m.is_zero():
+        return [{j: 1} for j in range(m.ncols)]
+    sf = smith_form(m, transforms=True)
+    return sf.right.columns()[len(sf.factors):]
+
+
+def snf_solver_reference(a):
+    """solve(b) -> x with a @ x = b over Z, or None: x = V D^-1 U b."""
+    sf = smith_form(a, transforms=True)
+    left_cols, right_cols = sf.left.columns(), sf.right.columns()
+
+    def solve(b):
+        z = {}
+        for i, val in apply_columns(ZZ, left_cols, b).items():
+            if i >= len(sf.factors) or val % sf.factors[i]:
+                return None
+            z[i] = val // sf.factors[i]
+        return apply_columns(ZZ, right_cols, z)
+
+    return solve
+
+
+def fraction_inverse_reference(m):
+    """Inverse of a unimodular integer matrix by Gauss-Jordan over Q."""
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("inverse of a non-square matrix")
+    a = [[Fraction(int(v)) for v in row] for row in m.to_dense_rows()]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[c], a[piv] = a[piv], a[c]
+        inv[c], inv[piv] = inv[piv], inv[c]
+        f = a[c][c]
+        a[c] = [x / f for x in a[c]]
+        inv[c] = [x / f for x in inv[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                g = a[i][c]
+                a[i] = [x - g * y for x, y in zip(a[i], a[c])]
+                inv[i] = [x - g * y for x, y in zip(inv[i], inv[c])]
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return Matrix.from_rows(ZZ, [[int(x) for x in row] for row in inv]) \
+        if n else Matrix.zero(ZZ, 0, 0)
+
+
+def snf_free_coordinates_reference(module):
+    """(coords, section) of a torsion-free Z quotient from the left Smith
+    transform U of its relations: coords the last rows of U, section the
+    matching columns of U^-1."""
+    n = module.ambient
+    if module.relations.is_zero():
+        return Matrix.identity(ZZ, n), Matrix.identity(ZZ, n)
+    sf = smith_form(module.relations, transforms=True)
+    k = len(sf.factors)
+    u, uinv = sf.left, fraction_inverse_reference(sf.left)
+    coords = Matrix(ZZ, n - k, n, {(i - k, j): v for (i, j), v
+                                   in u.entries.items() if i >= k})
+    section = Matrix(ZZ, n, n - k, {(i, j - k): v for (i, j), v
+                                    in uinv.entries.items() if j >= k})
+    return coords, section
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary integer row operations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            q = rng.randint(-3, 3)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif op == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return Matrix.from_rows(ZZ, rows) if n else Matrix.zero(ZZ, 0, 0)
+
+
+def seeded_integer_matrices(seed):
+    """(label, matrix) pairs: U D V with and without torsion in D, plain
+    random matrices, zero matrices and matrices with 0 rows or 0 columns."""
+    rng = random.Random(seed)
+    out = []
+    for torsion in (False, True):
+        for _ in range(3):
+            nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+            k = rng.randint(0, min(nr, nc))
+            diag = {(i, i): rng.choice((2, 3, 4, 6)) if torsion and
+                    rng.random() < 0.6 else 1 for i in range(k)}
+            m = random_unimodular(rng, nr) @ Matrix(ZZ, nr, nc, diag) @ \
+                random_unimodular(rng, nc)
+            out.append((f"{'torsion' if torsion else 'free'}-{nr}x{nc}", m))
+    for _ in range(3):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(nc)]
+                for _ in range(nr)]
+        out.append((f"random-{nr}x{nc}", Matrix.from_rows(ZZ, rows)))
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    out += [("zero", Matrix.zero(ZZ, nr, nc)), ("0-rows", Matrix.zero(ZZ, 0, nc)),
+            ("0-cols", Matrix.zero(ZZ, nr, 0)), ("0x0", Matrix.zero(ZZ, 0, 0))]
+    return out
+
+
+def canonical_of_columns(nrows, cols):
+    return lattice_canonical(Matrix.from_columns(ZZ, nrows, cols)
+                             if cols else Matrix.zero(ZZ, nrows, 0))
 
 
 def test_invariant_factor_examples():
@@ -125,3 +246,89 @@ def test_invariant_factors_match_dense_snf_without_units(seed):
                               values=(2, -2, 3, 4, -6, 9))
     assert invariant_factors(sparse_matrix(ZZ, rows)) == \
         dense_snf_reference(rows)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the transform-Smith and Fraction references
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_basis_matches_snf_reference(seed):
+    for label, m in seeded_integer_matrices(seed):
+        got = integer_kernel_basis(m)
+        ref = snf_kernel_reference(m)
+        assert len(got) == len(ref), label
+        assert all(m.apply_to_column(col) == {} for col in got), label
+        assert canonical_of_columns(m.ncols, got) == \
+            canonical_of_columns(m.ncols, ref), label
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solver_matches_snf_reference(seed):
+    rng = random.Random(1000 + seed)
+    for label, a in seeded_integer_matrices(seed):
+        solver, ref = IntegerSolver(a), snf_solver_reference(a)
+        targets = [{}]
+        for _ in range(6):
+            x = {j: rng.randint(-4, 4) for j in range(a.ncols)}
+            targets.append(a.apply_to_column({j: v for j, v in x.items() if v}))
+            b = {i: rng.randint(-4, 4) for i in range(a.nrows)}
+            targets.append({i: v for i, v in b.items() if v})
+        for b in targets:
+            x, y = solver.solve(b), ref(b)
+            assert (x is None) == (y is None), (label, b)
+            if x is not None:
+                assert a.apply_to_column(x) == b, (label, b)
+
+
+def _inverse_or_error(fn, m):
+    try:
+        return fn(m)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_inverse_matches_fraction_reference(seed):
+    rng = random.Random(2000 + seed)
+    cases = [m for _, m in seeded_integer_matrices(seed)]
+    for n in range(0, 7):
+        u = random_unimodular(rng, n)
+        cases.append(u)
+        d = {(i, i): 1 for i in range(n)}
+        if n:
+            d[(rng.randrange(n), rng.randrange(n))] = rng.choice((0, 2, -3))
+        cases.append(u @ Matrix(ZZ, n, n, d) @ random_unimodular(rng, n))
+    for m in cases:
+        got = _inverse_or_error(integer_inverse, m)
+        assert got == _inverse_or_error(fraction_inverse_reference, m), m
+        if isinstance(got, Matrix):
+            assert m @ got == Matrix.identity(ZZ, m.nrows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_free_coordinates_over_seeded_integer_slices(seed):
+    with_relations = 0
+    for struct in seeded_structures(seed, 20):
+        p = instantiate(struct, ZZ)
+        for n in range(5):
+            module = p.slice_module(n)
+            if module.invariants().torsion:
+                continue
+            coords, section = module.free_coordinates()
+            rel = module.relations
+            assert coords.nrows == module.invariants().free_rank
+            assert (coords @ rel).is_zero()
+            assert coords @ section == Matrix.identity(ZZ, coords.nrows)
+            assert canonical_of_columns(
+                module.ambient, snf_kernel_reference(coords)) == \
+                lattice_canonical(rel)
+            with_relations += not rel.is_zero()
+    assert with_relations >= 4
+
+
+def test_snf_free_coordinates_reference_inverts():
+    rel = Matrix.from_columns(ZZ, 3, [{0: 1, 1: 2}, {1: 3, 2: 1}])
+    coords, section = snf_free_coordinates_reference(
+        PresentedModule(ZZ, 3, rel))
+    assert (coords @ rel).is_zero()
+    assert coords @ section == Matrix.identity(ZZ, 1)
