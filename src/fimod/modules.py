@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import FieldReducer, Matrix, field_in_span, hstack
+from .matrix import (FieldReducer, Matrix, field_in_span, field_kernel_basis,
+                     hstack)
 from .rings import RingSpec
-from .smith import _snf_core, integer_inverse, invariant_factors
+from .smith import (IntegerSolver, integer_in_span, integer_kernel_basis,
+                    invariant_factors, lattice_canonical)
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,11 @@ class PresentedModule:
         with coords @ section = identity and with coords(v) the class of v
         in a chosen basis of the quotient. Without relations both are the
         identity. Over a field the basis is the reducer's non-pivot
-        coordinates; over Z it is read off the left Smith transform U
-        (coords its last rows, section the matching columns of U^-1), and
-        the quotient must be torsion-free.
+        coordinates. Over Z the quotient must be torsion-free: the rows of
+        coords are a basis of the annihilator {y : y . r = 0 for every
+        relation r}, whose own kernel is the relation lattice because the
+        quotient has no torsion; section is a right inverse of coords,
+        solved column by column.
         """
         if self._free_coords is None:
             ring, n = self.ring, self.ambient
@@ -108,17 +112,14 @@ class PresentedModule:
             else:
                 if self.invariants().torsion:
                     raise ValueError("quotient has torsion; no free coordinates")
-                a = [[int(v) for v in row]
-                     for row in self.relations.to_dense_rows()]
-                u = [[int(i == j) for j in range(n)] for i in range(n)]
-                k = len(_snf_core(a, n, self.relations.ncols, u, None))
-                uinv = integer_inverse(Matrix.from_rows(ring, u))
-                coords = Matrix(ring, n - k, n,
-                                {(i - k, j): v for i in range(k, n)
-                                 for j, v in enumerate(u[i])})
-                section = Matrix(ring, n, n - k,
-                                 {(i, j - k): v for (i, j), v
-                                  in uinv.entries.items() if j >= k})
+                annihilator = integer_kernel_basis(self.relations.transpose())
+                coords = Matrix(ring, len(annihilator), n,
+                                {(i, j): v for i, row in enumerate(annihilator)
+                                 for j, v in row.items()})
+                solver = IntegerSolver(coords)
+                section = Matrix.from_columns(
+                    ring, n, [solver.solve({i: 1})
+                              for i in range(len(annihilator))])
             self._free_coords = (coords, section)
         return self._free_coords
 
@@ -127,7 +128,6 @@ class PresentedModule:
         vec = Matrix.from_columns(self.ring, self.ambient, [column])
         if self.ring.is_field:
             return field_in_span(self.relations, vec)
-        from .smith import integer_in_span
         return integer_in_span(self.relations, vec)
 
     def __repr__(self):
@@ -164,7 +164,6 @@ class ModuleMap:
             return True
         if self.ring.is_field:
             return field_in_span(self.target.relations, mapped)
-        from .smith import integer_in_span
         return integer_in_span(self.target.relations, mapped)
 
     def is_surjective(self) -> bool:
@@ -216,10 +215,8 @@ def kernel_subspace_generators(f: ModuleMap) -> list[dict]:
     """
     stacked = hstack([f.matrix, f.target.relations])
     if f.ring.is_field:
-        from .matrix import field_kernel_basis
         raw = field_kernel_basis(stacked)
     else:
-        from .smith import integer_kernel_basis
         raw = integer_kernel_basis(stacked)
     n = f.source.ambient
     gens = []
@@ -247,8 +244,6 @@ class SubmoduleOfQuotient:
         ring = self.module.ring
         if ring.is_field:
             return Invariants(self._full.rank() - self.module.relations.rank())
-        from .smith import IntegerSolver, lattice_canonical
-
         basis = lattice_canonical(self._full)
         if not basis:
             return Invariants(0)
@@ -274,5 +269,4 @@ class SubmoduleOfQuotient:
             if ra != rb:
                 return False
             return hstack([self._full, other._full]).rank() == ra
-        from .smith import lattice_canonical
         return lattice_canonical(self._full) == lattice_canonical(other._full)

@@ -8,9 +8,8 @@ dominates the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .matrix import Matrix, PivotPolicy, SparseEliminator, apply_columns
+from .matrix import Matrix, PivotPolicy, SparseEliminator
 from .rings import ZZ, IntegerRing
 
 
@@ -210,43 +209,86 @@ def _snf_core(a: list[list[int]], nr: int, nc: int,
 
 
 # ---------------------------------------------------------------------------
-# kernels, solving, lattice forms
+# kernels, solving, lattice forms: one Hermite loop
+
+def _hermite(rows: list[list[int]], width: int,
+             reduced: bool = True) -> tuple[list[list[int]], int]:
+    """Integer row echelon form on the first `width` columns, in place.
+
+    Returns (rows, r): rows[:r] have positive pivots in strictly increasing
+    columns below `width`, and rows[r:] vanish on those columns. With
+    `reduced`, entries above each pivot lie in [0, pivot). Only unimodular
+    row operations are used, so the row lattice is unchanged.
+    """
+    r = 0
+    for c in range(width):
+        idx = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not idx:
+            continue
+        while len(idx) > 1:
+            idx.sort(key=lambda i: abs(rows[i][c]))
+            i0 = idx[0]
+            for i in idx[1:]:
+                q = rows[i][c] // rows[i0][c]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[i0])]
+            idx = [i for i in idx if rows[i][c]]
+        i0 = idx[0]
+        rows[r], rows[i0] = rows[i0], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        if reduced:
+            p = rows[r][c]
+            for i in range(r):
+                if rows[i][c]:
+                    q = rows[i][c] // p
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return rows, r
+
+
+def _graph_hermite(m: Matrix, reduced: bool = False):
+    """_hermite of the rows (column j of m | e_j), which span the graph
+    lattice {(m x, x)}, on their m-part: the x-parts of rows[r:] are a
+    basis of ker m, and each row of rows[:r] is some (m x, x)."""
+    _check_integer(m)
+    rows = [row + [int(k == j) for k in range(m.ncols)]
+            for j, row in enumerate(_transpose_dense(m))]
+    return _hermite(rows, m.nrows, reduced)
+
 
 def integer_kernel_basis(m: Matrix) -> list[dict[int, int]]:
     """Basis of the lattice {x in Z^ncols : m @ x = 0}, as column dicts."""
-    _check_integer(m)
-    if m.is_zero():
-        return [{j: 1} for j in range(m.ncols)]
-    sf = smith_form(m, transforms=True)
-    k = len(sf.factors)
-    cols = sf.right.columns()
-    return [cols[j] for j in range(k, m.ncols)]
+    rows, r = _graph_hermite(m)
+    return [{j: v for j, v in enumerate(row[m.nrows:]) if v}
+            for row in rows[r:]]
 
 
 class IntegerSolver:
-    """Repeated exact solving of A @ x = b over Z for a fixed A."""
+    """Repeated exact solving of A @ x = b over Z for a fixed A, by back
+    substitution along the echelon rows (A x_k, x_k) of the graph form."""
 
     def __init__(self, a: Matrix):
-        _check_integer(a)
+        rows, r = _graph_hermite(a)
         self.a = a
-        self.sf = smith_form(a, transforms=True)
-        self.k = len(self.sf.factors)
-        self._left_cols = self.sf.left.columns()
-        self._right_cols = self.sf.right.columns()
+        self._pivots = [(next(c for c, v in enumerate(row) if v), row)
+                        for row in rows[:r]]
 
     def solve(self, b: dict[int, int]) -> dict[int, int] | None:
         """A sparse solution column, or None when b is outside the lattice."""
-        y = apply_columns(ZZ, self._left_cols, b)
-        z: dict[int, int] = {}
-        for i, val in y.items():
-            if i < self.k:
-                d = self.sf.factors[i]
-                if val % d:
-                    return None
-                z[i] = val // d
-            elif val:
+        nr = self.a.nrows
+        # v stays (b - A x, -x) for the x accumulated so far
+        v = [b.get(i, 0) for i in range(nr)] + [0] * self.a.ncols
+        for c, row in self._pivots:
+            q, rem = divmod(v[c], row[c])
+            if rem:
                 return None
-        return apply_columns(ZZ, self._right_cols, z)
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+        if any(v[:nr]):
+            return None
+        return {j: -x for j, x in enumerate(v[nr:]) if x}
 
     def contains(self, b: dict[int, int]) -> bool:
         return self.solve(b) is not None
@@ -269,34 +311,7 @@ def lattice_canonical(m: Matrix) -> tuple[tuple[int, ...], ...]:
     are equal.
     """
     _check_integer(m)
-    ncols = m.nrows  # rows of the transpose live in Z^(m.nrows)
-    rows = [row for row in _transpose_dense(m) if any(row)]
-    out: list[list[int]] = []
-    r = 0
-    for c in range(ncols):
-        idx = [i for i in range(r, len(rows)) if rows[i][c]]
-        if not idx:
-            continue
-        while len(idx) > 1:
-            idx.sort(key=lambda i: abs(rows[i][c]))
-            i0 = idx[0]
-            for i in idx[1:]:
-                q = rows[i][c] // rows[i0][c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[i0])]
-            idx = [i for i in idx if rows[i][c]]
-        i0 = idx[0]
-        rows[r], rows[i0] = rows[i0], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        p = rows[r][c]
-        for i in range(r):
-            if rows[i][c]:
-                q = rows[i][c] // p
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rows = [row for row in rows[:r]] + [row for row in rows[r:] if any(row)]
-        if r == len(rows):
-            break
+    rows, r = _hermite(_transpose_dense(m), m.nrows)
     return tuple(tuple(row) for row in rows[:r])
 
 
@@ -308,33 +323,17 @@ def _transpose_dense(m: Matrix) -> list[list[int]]:
 
 
 def integer_inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix: m is unimodular iff
+    its reduced graph form has m-part I, and then row k is (e_k, m^-1 e_k)."""
     _check_integer(m)
     n = m.nrows
     if m.ncols != n:
         raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(int(v)) for v in row] for row in m.to_dense_rows()]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        inv[c] = [x / f for x in inv[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[c])]
-                inv[i] = [x - g * y for x, y in zip(inv[i], inv[c])]
-    ent = {}
-    for i in range(n):
-        for j in range(n):
-            x = inv[i][j]
-            if x:
-                if x.denominator != 1:
-                    raise ValueError("matrix is not unimodular")
-                ent[(i, j)] = int(x)
-    return Matrix(ZZ, n, n, ent)
+    rows, r = _graph_hermite(m, reduced=True)
+    if r < n:
+        raise ValueError("matrix is singular")
+    if any(row[:n] != [int(i == k) for i in range(n)]
+           for k, row in enumerate(rows)):
+        raise ValueError("matrix is not unimodular")
+    return Matrix(ZZ, n, n, {(i, k): v for k, row in enumerate(rows)
+                             for i, v in enumerate(row[n:]) if v})
