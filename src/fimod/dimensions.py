@@ -114,13 +114,22 @@ class DimensionTable:
 
     @classmethod
     def from_csv(cls, text: str, ring: RingSpec) -> "DimensionTable":
+        """Parse to_csv output: header `n,dim` over a field or
+        `n,free_rank,torsion` over Z, then at least one row."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        header = lines[0].split(",")
+        want = ["n", "dim"] if ring.is_field else ["n", "free_rank", "torsion"]
+        if not lines or lines[0].split(",") != want:
+            raise ValueError(f"a table over {ring.name} needs the header "
+                             f"{','.join(want)}")
+        if len(lines) == 1:
+            raise ValueError("table has no rows")
         rows = []
         for ln in lines[1:]:
             parts = ln.split(",")
+            if not 2 <= len(parts) <= len(want):
+                raise ValueError(f"row {ln!r} does not match the header")
             n = int(parts[0])
-            if header[:2] == ["n", "dim"]:
+            if ring.is_field:
                 rows.append((n, int(parts[1])))
             else:
                 tor = tuple(int(x) for x in parts[2].split(";")) \

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic primality test (trial division; desk-scale moduli)."""
+    """Deterministic primality test (trial division; F_p takes p < 2^31)."""
     if p < 2:
         return False
     if p < 4:
@@ -161,6 +161,8 @@ class PrimeField(RingSpec):
     is_field = True
 
     def __init__(self, p: int):
+        if p >= 2 ** 31:
+            raise ValueError(f"F_p needs p < 2^31, got {p}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -233,7 +235,10 @@ def ring_from_token(tok) -> RingSpec:
     if tok == "Z":
         return ZZ
     if isinstance(tok, dict) and set(tok) == {"Fp"}:
-        return GF(int(tok["Fp"]))
+        p = tok["Fp"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"Fp modulus must be a JSON integer, got {p!r}")
+        return GF(p)
     raise ValueError(f"unrecognized ring token {tok!r}")
 
 

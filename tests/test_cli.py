@@ -129,6 +129,37 @@ def test_tail_equal_command(tmp_path, capsys):
     assert "result: false" in out
 
 
+@pytest.mark.parametrize("text", ["", "n,dim\n",
+                                  "n,free_rank,torsion\n0,1,\n1,2,2\n"])
+@pytest.mark.parametrize("command", ["fit", "tail-equal"])
+def test_bad_table_exit_code(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("n,dim\n0,1\n1,2\n")
+    argv = ["fit", "--table", str(bad)] if command == "fit" else \
+        ["tail-equal", "--table-a", str(bad), "--table-b", str(good),
+         "--window", "2"]
+    assert main(argv + ["--ring", "Q"]) == 3
+    err = capsys.readouterr().err
+    assert "invalid table" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("modulus", [2.5, "7", True, 10 ** 16 + 61])
+def test_bad_fp_modulus_exit_code(tmp_path, capsys, modulus):
+    doc = {"ring": {"Fp": modulus}, "generators": [1], "relations": []}
+    bad = tmp_path / "fp.fim"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--module", str(bad), "--n", "0..2"]) == 3
+    assert "invalid presentation document" in capsys.readouterr().err
+
+
+def test_large_fp_ring_option_exit_code(m2_file, capsys):
+    assert main(["eval", "--module", m2_file, "--n", "0..2",
+                 "--ring", "F10000000000000061"]) == 3
+    assert "2^31" in capsys.readouterr().err
+
+
 def test_eval_fit_inconclusive_exit_code(tmp_path, capsys):
     path = tmp_path / "short.fim"
     path.write_text(free_presentation(QQ, 2).dumps())

@@ -121,3 +121,22 @@ def test_csv_round_trip():
 def test_from_csv_requires_contiguity():
     with pytest.raises(ValueError):
         DimensionTable.from_csv("n,dim\n0,1\n2,1\n", QQ)
+
+
+@pytest.mark.parametrize("text,ring", [
+    ("", QQ), ("\n\n", ZZ),                          # no header
+    ("n,dim\n", QQ), ("n,free_rank,torsion\n", ZZ),  # header only
+    ("n,free_rank,torsion\n0,1,\n", QQ),             # Z header over a field
+    ("n,dim\n0,1\n", ZZ),                            # field header over Z
+    ("n,dims\n0,1\n", QQ),                           # not the README header
+    ("n,dim\n0\n", QQ), ("n,dim\n0,1,2\n", QQ),      # rows of the wrong width
+])
+def test_from_csv_requires_header_for_ring_and_rows(text, ring):
+    with pytest.raises(ValueError):
+        DimensionTable.from_csv(text, ring)
+
+
+def test_from_csv_accepts_integer_rows_without_torsion_field():
+    back = DimensionTable.from_csv("n,free_rank,torsion\n0,1\n1,2,2;4\n", ZZ)
+    assert [(v.free_rank, v.torsion) for v in back.values] == \
+        [(1, ()), (2, (2, 4))]

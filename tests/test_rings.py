@@ -63,3 +63,18 @@ def test_parse_ring_names():
     assert parse_ring("GF(11)") == GF(11)
     with pytest.raises(ValueError):
         parse_ring("octonions")
+
+
+@pytest.mark.parametrize("p", [2.5, 7.0, "7", True, None, [7]])
+def test_ring_token_modulus_must_be_an_integer(p):
+    with pytest.raises(ValueError):
+        ring_from_token({"Fp": p})
+
+
+def test_prime_field_refuses_large_moduli():
+    assert GF(2 ** 31 - 1).p == 2 ** 31 - 1
+    for p in (2 ** 31, 2 ** 31 + 11, 10 ** 16 + 61):
+        with pytest.raises(ValueError, match="2\\^31"):
+            PrimeField(p)
+    with pytest.raises(ValueError, match="2\\^31"):
+        parse_ring("F10000000000000061")
