@@ -112,14 +112,11 @@ class PresentedModule:
             else:
                 if self.invariants().torsion:
                     raise ValueError("quotient has torsion; no free coordinates")
-                annihilator = integer_kernel_basis(self.relations.transpose())
-                coords = Matrix(ring, len(annihilator), n,
-                                {(i, j): v for i, row in enumerate(annihilator)
-                                 for j, v in row.items()})
+                coords = Matrix.from_columns(ring, n, integer_kernel_basis(
+                    self.relations.transpose())).transpose()
                 solver = IntegerSolver(coords)
                 section = Matrix.from_columns(
-                    ring, n, [solver.solve({i: 1})
-                              for i in range(len(annihilator))])
+                    ring, n, [solver.solve({i: 1}) for i in range(coords.nrows)])
             self._free_coords = (coords, section)
         return self._free_coords
 

@@ -1,9 +1,11 @@
 """Smith normal form, integer kernels and lattice normal forms.
 
 The diagonal-only path strips unit pivots sparsely first and runs the dense
-min-|pivot| algorithm on the small residue; transform-carrying SNF is dense
-and computed only when asked for, since tracking the unimodular factors
-dominates the cost.
+min-|pivot| algorithm on the small residue. One Hermite loop serves every
+lattice question: canonical lattice bases, and through the graph lattice
+{(a x, x)} integer kernels, exact solving and unimodular inverses. The
+transform-carrying SNF is dense and computed only for
+smith_form(transforms=True).
 """
 from __future__ import annotations
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fimod.matrix import Matrix, apply_columns
-from fimod.modules import PresentedModule
 from fimod.rings import QQ, ZZ
 from fimod.sampling import instantiate, seeded_structures
 from fimod.smith import (IntegerSolver, SmithForm, integer_inverse,
@@ -325,10 +324,3 @@ def test_free_coordinates_over_seeded_integer_slices(seed):
             with_relations += not rel.is_zero()
     assert with_relations >= 4
 
-
-def test_snf_free_coordinates_reference_inverts():
-    rel = Matrix.from_columns(ZZ, 3, [{0: 1, 1: 2}, {1: 3, 2: 1}])
-    coords, section = snf_free_coordinates_reference(
-        PresentedModule(ZZ, 3, rel))
-    assert (coords @ rel).is_zero()
-    assert coords @ section == Matrix.identity(ZZ, 1)
