@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fimod.complexes import (check_inductive, complex_homology, differential,
-                             find_N, homology_field_table,
+                             find_N, homology_field_table, homotopy_matrix,
                              ordered_shift_free_iso, ordered_shift_slice,
                              ordered_shift_structure_map, poset_colimit,
-                             signed_shift_slice, slice_complex,
-                             subsets_of_size, verify_chain_homotopy)
+                             shift_one_matrix, signed_shift_slice,
+                             slice_complex, subsets_of_size,
+                             verify_chain_homotopy)
 from fimod.functors import h0_slice
 from fimod.injections import Injection
 from fimod.matrix import Matrix, block_diagonal, hstack
@@ -17,6 +18,7 @@ from fimod.modules import Invariants, PresentedModule, is_isomorphism
 from fimod.presentations import FIPresentation, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
+from tests.test_matrix import assert_canonical
 from tests.test_presentations import torsion_module
 from tests.test_smith import (snf_free_coordinates_reference,
                               snf_kernel_reference, snf_solver_reference)
@@ -343,7 +345,6 @@ def test_chain_homotopy_free_modules():
 def test_shift_one_kills_homology_over_field():
     # the canonical degree-raising map must induce zero on homology:
     # images of cycles land in boundaries plus relations
-    from fimod.complexes import shift_one_matrix
     from fimod.matrix import field_in_span, field_kernel_basis
     for struct in seeded_structures(29, 4):
         p = instantiate(struct, GF(5))
@@ -504,3 +505,19 @@ def test_ordered_shift_free_iso_naturality():
                 lhs = phi_m @ ordered_shift_structure_map(src, a, w).matrix
                 rhs = big.induced_matrix(w) @ phi_n
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ])
+def test_placed_block_matrices_are_canonical(ring):
+    rng = random.Random(3)
+    for struct in seeded_structures(9, 4):
+        p = instantiate(struct, ring)
+        for n in range(0, 4):
+            for a in range(0, n + 1):
+                assert_canonical(homotopy_matrix(p, a, n))
+                assert_canonical(shift_one_matrix(p, a, n))
+                if a:
+                    assert_canonical(differential(p, a, n).matrix)
+            for a in range(0, 3):
+                w = random_injection(rng, n, n + 1)
+                assert_canonical(ordered_shift_structure_map(p, a, w).matrix)

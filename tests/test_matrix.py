@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from fimod.arnold import ArnoldModule
 from fimod.coinvariants import MultiIndex, ideal_matrix
 from fimod.matrix import (FieldReducer, Matrix, PivotPolicy,
-                          SparseEliminator, field_in_span, field_kernel_basis,
-                          field_rref, hstack, vstack)
+                          SparseEliminator, block_diagonal, field_in_span,
+                          field_kernel_basis, field_rref, hstack, vstack)
 from fimod.rings import GF, QQ, ZZ
 from fimod.smith import _snf_core, invariant_factors
 
@@ -296,3 +296,61 @@ def test_eliminator_agrees_with_dense_references(rows):
         dense_rref_reference(rows, 5)
     assert invariant_factors(sparse_matrix(ZZ, rows)) == \
         dense_snf_reference(rows)
+
+
+def assert_canonical(m: Matrix):
+    """Every entry is a nonzero, coerced ring element inside the shape: what
+    Matrix.__init__ would make of the same entries."""
+    assert Matrix(m.ring, m.nrows, m.ncols, m.entries) == m
+    assert all(type(v) is type(m.ring.one) for v in m.entries.values())
+
+
+@st.composite
+def matrix_triples(draw):
+    """Dense integer rows of A (r x k), A2 (r x k) and B (k x c), shapes
+    0..4 each."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    cell = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+
+    def rows(nr, nc):
+        return [[draw(cell) for _ in range(nc)] for _ in range(nr)]
+    return rows(r, k), rows(r, k), rows(k, c), (r, k, c)
+
+
+def _dense(ring, rows, nr, nc):
+    """A Matrix from dense integer rows; over Q every entry is halved so
+    that non-integral values occur."""
+    half = ring == QQ
+    return Matrix(ring, nr, nc, {
+        (i, j): Fraction(v, 2) if half else v
+        for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrix_triples())
+def test_entry_preserving_operations_stay_canonical(triple):
+    a_rows, a2_rows, b_rows, (r, k, c) = triple
+    for ring in (QQ, GF(3), ZZ):
+        a, a2 = _dense(ring, a_rows, r, k), _dense(ring, a2_rows, r, k)
+        b = _dense(ring, b_rows, k, c)
+        da, da2, db = a.to_dense_rows(), a2.to_dense_rows(), b.to_dense_rows()
+        cases = [
+            (a.transpose(), [list(col) for col in zip(*da)] if r else
+             [[] for _ in range(k)]),
+            (a + a2, [[ring.add(x, y) for x, y in zip(u, v)]
+                      for u, v in zip(da, da2)]),
+            (-a, [[ring.neg(x) for x in u] for u in da]),
+            (a - a2, [[ring.sub(x, y) for x, y in zip(u, v)]
+                      for u, v in zip(da, da2)]),
+            (a @ b, [[sum((ring.mul(u[t], db[t][j]) for t in range(k)),
+                          ring.zero) for j in range(c)] for u in da]),
+            (hstack([a, a2]), [u + v for u, v in zip(da, da2)]),
+            (vstack([a, a2]), da + da2),
+            (block_diagonal(ring, [a, b]),
+             [u + [ring.zero] * c for u in da] +
+             [[ring.zero] * k + v for v in db]),
+        ]
+        for out, dense in cases:
+            assert_canonical(out)
+            assert out.to_dense_rows() == \
+                [[ring.coerce(x) for x in row] for row in dense]

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
-from fimod.injections import Injection, identity_injection
+from fimod.arnold import arnold_presentation
+from fimod.functors import shift_presentation
+from fimod.injections import (Injection, enumerate_injections,
+                              identity_injection, standard_inclusion)
 from fimod.matrix import Matrix
 from fimod.presentations import (FIPresentation, FreeElement, evaluate_slice,
                                  free_presentation, induced_map, pushforward)
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
+from tests.test_matrix import assert_canonical
 
 TORSION_RELATION = FreeElement(1, {(0, Injection(0, 1, ())): 1})
 
@@ -159,3 +163,69 @@ def test_functions_mirror_methods():
     assert evaluate_slice(p, 3).ambient == 3
     f = Injection(1, 2, (1,))
     assert induced_map(p, f).matrix == p.induced_map(f).matrix
+
+
+# ---------------------------------------------------------------------------
+# differential references: slice assembly through pushforward
+
+def pushforward_slice_reference(p: FIPresentation, n: int) -> Matrix:
+    """The degree-n relation matrix built one pushed-forward relation at a
+    time: FreeElement.pushforward (Injection.after per term, merging and
+    dropping zeros) and Matrix.from_columns (coercing every entry)."""
+    index = {(g, inj.images): k for k, (g, inj) in enumerate(p.slice_basis(n))}
+    cols = []
+    for rel in p.relations:
+        for h in enumerate_injections(rel.degree, n):
+            pushed = rel.pushforward(h)
+            cols.append({index[(gen, inj.images)]: c
+                         for (gen, inj), c in pushed.terms.items()})
+    if not cols:
+        return Matrix.zero(p.ring, len(index), 0)
+    return Matrix.from_columns(p.ring, len(index), cols)
+
+
+def induced_map_reference(p: FIPresentation, f: Injection) -> Matrix:
+    """f_*: V_m -> V_n with one validated Injection per basis element."""
+    index = {(g, inj.images): k
+             for k, (g, inj) in enumerate(p.slice_basis(f.target))}
+    cols = [{index[(gen, f.after(g).images)]: p.ring.one}
+            for gen, g in p.slice_basis(f.source)]
+    return Matrix.from_columns(p.ring, len(index), cols)
+
+
+def assert_slices_match_references(p: FIPresentation, n_max: int, rng):
+    for n in range(n_max + 1):
+        sm = p.evaluate_slice(n)
+        relmat = sm.module.relations
+        assert relmat == pushforward_slice_reference(p, n), n
+        assert_canonical(relmat)
+        assert [(g, inj.images) for g, inj in sm.basis] == \
+            [(g, inj.images) for g, inj in p.slice_basis(n)]
+    for m in range(n_max + 1):
+        for n in range(m, n_max + 1):
+            fs = [standard_inclusion(m, n), random_injection(rng, m, n)]
+            for f in fs:
+                mat = p.induced_matrix(f)
+                assert mat == induced_map_reference(p, f), (m, n, f)
+                assert_canonical(mat)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5), ZZ])
+@pytest.mark.parametrize("seed", range(4))
+def test_slices_match_pushforward_reference(seed, ring):
+    rng = random.Random(seed * 31 + 7)
+    for struct in seeded_structures(seed, 20):
+        assert_slices_match_references(instantiate(struct, ring), 5, rng)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ])
+def test_arnold_slices_match_pushforward_reference(ring):
+    assert_slices_match_references(arnold_presentation(2, ring), 6,
+                                   random.Random(11))
+
+
+def test_shift_slices_match_pushforward_reference():
+    struct = seeded_structures(5, 1)[0]
+    for ring in (QQ, ZZ):
+        p = shift_presentation(instantiate(struct, ring), 1)
+        assert_slices_match_references(p, 4, random.Random(13))
