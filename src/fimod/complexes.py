@@ -80,7 +80,8 @@ def _place_blocks(ring, s_to: ShiftSlice, s_from: ShiftSlice,
         roff, coff = s_to.offset(ti), s_from.offset(si)
         for (r, c), v in block.entries.items():
             ent[(roff + r, coff + c)] = ring.neg(v) if negate else v
-    return Matrix(ring, s_to.module.ambient, s_from.module.ambient, ent)
+    return Matrix.canonical(ring, s_to.module.ambient, s_from.module.ambient,
+                            ent)
 
 
 # ---------------------------------------------------------------------------

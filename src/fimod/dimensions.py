@@ -115,7 +115,9 @@ class DimensionTable:
     @classmethod
     def from_csv(cls, text: str, ring: RingSpec) -> "DimensionTable":
         """Parse to_csv output: header `n,dim` over a field or
-        `n,free_rank,torsion` over Z, then at least one row."""
+        `n,free_rank,torsion` over Z, then at least one row. Dimensions and
+        free ranks must be >= 0, and torsion entries invariant factors:
+        each > 1 and dividing the next."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         want = ["n", "dim"] if ring.is_field else ["n", "free_rank", "torsion"]
         if not lines or lines[0].split(",") != want:
@@ -128,13 +130,20 @@ class DimensionTable:
             parts = ln.split(",")
             if not 2 <= len(parts) <= len(want):
                 raise ValueError(f"row {ln!r} does not match the header")
-            n = int(parts[0])
+            n, rank = int(parts[0]), int(parts[1])
+            if rank < 0:
+                raise ValueError(f"row {ln!r} has a negative {want[1]}")
             if ring.is_field:
-                rows.append((n, int(parts[1])))
+                rows.append((n, rank))
             else:
                 tor = tuple(int(x) for x in parts[2].split(";")) \
                     if len(parts) > 2 and parts[2] else ()
-                rows.append((n, Invariants(int(parts[1]), tor)))
+                if any(d < 2 for d in tor) or \
+                        any(b % a for a, b in zip(tor, tor[1:])):
+                    raise ValueError(
+                        f"row {ln!r}: torsion must be invariant factors "
+                        "> 1, each dividing the next")
+                rows.append((n, Invariants(rank, tor)))
         rows.sort(key=lambda t: t[0])
         start = rows[0][0]
         for k, (n, _) in enumerate(rows):

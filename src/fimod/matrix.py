@@ -1,7 +1,15 @@
 """Sparse exact matrices and elimination over Q, F_p and Z.
 
 Storage is a dict mapping (row, col) to a nonzero scalar of the matrix's
-ring.
+ring, in the ring's canonical form (a Fraction over Q, an int in [0, p)
+over F_p, an int over Z), with every key inside the shape. `Matrix()`,
+`from_rows` and `from_columns` coerce every value they are given, drop the
+zeros and check the bounds, so raw values may go in. `Matrix.canonical`
+does none of that: it wraps entries that already hold the invariant. The
+operations that only move, negate or combine the entries of canonical
+matrices build their results with it: `transpose`, `+`, unary `-`, `@`,
+`hstack`, `vstack` and `block_diagonal`, as do slice assembly and induced
+maps in `presentations` and block placement in `complexes`.
 
 Every sparse elimination runs through one `SparseEliminator`: rank over
 F_p, fraction-free rank over Q and Z, unit-pivot stripping before a Smith
@@ -64,6 +72,15 @@ class Matrix:
                 if not ring.is_zero(v):
                     ent[(i, j)] = v
         self.entries = ent
+
+    @classmethod
+    def canonical(cls, ring: RingSpec, nrows: int, ncols: int,
+                  entries: dict) -> "Matrix":
+        """Wrap entries that are already nonzero canonical elements of
+        `ring` inside the shape; the dict is neither copied nor checked."""
+        m = cls.__new__(cls)
+        m.ring, m.nrows, m.ncols, m.entries = ring, nrows, ncols, entries
+        return m
 
     @classmethod
     def zero(cls, ring: RingSpec, nrows: int, ncols: int) -> "Matrix":
@@ -136,8 +153,9 @@ class Matrix:
         return rows
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
+        return Matrix.canonical(
+            self.ring, self.ncols, self.nrows,
+            {(j, i): v for (i, j), v in self.entries.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
@@ -158,12 +176,12 @@ class Matrix:
                 ent.pop(k, None)
             else:
                 ent[k] = s
-        return Matrix(r, self.nrows, self.ncols, ent)
+        return Matrix.canonical(r, self.nrows, self.ncols, ent)
 
     def __neg__(self) -> "Matrix":
         r = self.ring
-        return Matrix(r, self.nrows, self.ncols,
-                      {k: r.neg(v) for k, v in self.entries.items()})
+        return Matrix.canonical(r, self.nrows, self.ncols,
+                                {k: r.neg(v) for k, v in self.entries.items()})
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -195,7 +213,7 @@ class Matrix:
                         out[i] = s
             for i, v in out.items():
                 ent[(i, j)] = v
-        return Matrix(r, self.nrows, other.ncols, ent)
+        return Matrix.canonical(r, self.nrows, other.ncols, ent)
 
     def apply_to_column(self, col: dict[int, object]) -> dict[int, object]:
         """Image of a sparse column vector under this matrix."""
@@ -243,7 +261,7 @@ def hstack(mats: list[Matrix]) -> Matrix:
         for (i, j), v in m.entries.items():
             ent[(i, j + off)] = v
         off += m.ncols
-    return Matrix(ring, nrows, off, ent)
+    return Matrix.canonical(ring, nrows, off, ent)
 
 
 def vstack(mats: list[Matrix]) -> Matrix:
@@ -258,18 +276,20 @@ def vstack(mats: list[Matrix]) -> Matrix:
         for (i, j), v in m.entries.items():
             ent[(i + off, j)] = v
         off += m.nrows
-    return Matrix(ring, off, ncols, ent)
+    return Matrix.canonical(ring, off, ncols, ent)
 
 
 def block_diagonal(ring: RingSpec, mats: list[Matrix]) -> Matrix:
     ent = {}
     roff = coff = 0
     for m in mats:
+        if m.ring != ring:
+            raise ValueError("block_diagonal ring mismatch")
         for (i, j), v in m.entries.items():
             ent[(i + roff, j + coff)] = v
         roff += m.nrows
         coff += m.ncols
-    return Matrix(ring, roff, coff, ent)
+    return Matrix.canonical(ring, roff, coff, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +462,8 @@ def _primitive_rows(m: Matrix) -> dict[int, dict[int, int]]:
             den = 1
             for v in row.values():
                 den = den * v.denominator // gcd(den, v.denominator)
-            rows[i] = row = {j: int(v * den) for j, v in row.items()}
+            rows[i] = row = {j: v.numerator * (den // v.denominator)
+                             for j, v in row.items()}
         _reduce_content(row)
     return rows
 

@@ -7,12 +7,23 @@ FI-modules. Slices V_n are returned as PresentedModules over the ambient
 basis {(generator i, injection [d_i] -> [n])} in generator-major,
 lexicographic-injection order, which makes every matrix reproducible
 bit-for-bit.
+
+The relation matrix of V_n has one column per relation r_j and injection
+h: [e_j] -> [n], in lexicographic order of h. It is assembled on image
+tuples: the term (i, g) of r_j lands in the row of (i, h∘g), whose images
+are h's images read at g's. Pushforward along an injection is injective on
+(generator, injection) keys, so a column never receives two terms at one
+row, and the coefficients were coerced and cleared of zeros when the
+presentation was built. The entries are therefore written as they are,
+with nothing to merge, drop or coerce (`Matrix.canonical`). Induced maps
+compose image tuples the same way.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from fractions import Fraction
+from itertools import permutations
 
 from .injections import Injection, count_injections, enumerate_injections
 from .matrix import Matrix
@@ -76,10 +87,11 @@ class SliceModule:
 
     __slots__ = ("degree", "basis", "index", "module")
 
-    def __init__(self, degree: int, basis: list, module: PresentedModule):
+    def __init__(self, degree: int, basis: list, index: dict,
+                 module: PresentedModule):
         self.degree = degree
         self.basis = basis                      # [(gen index, Injection)]
-        self.index = {(g, inj.images): k for k, (g, inj) in enumerate(basis)}
+        self.index = index                      # (gen, images) -> position
         self.module = module
 
     @property
@@ -117,6 +129,8 @@ class FIPresentation:
             raise ValueError("generator degrees must be >= 0")
         rels = []
         for r in relations:
+            if r.degree < 0:
+                raise ValueError("relation degrees must be >= 0")
             for (gen, inj), coeff in r.terms.items():
                 if not 0 <= gen < len(self.generator_degrees):
                     raise ValueError(f"relation references generator {gen}")
@@ -163,15 +177,18 @@ class FIPresentation:
             return cached
         basis = self.slice_basis(n)
         index = {(g, inj.images): k for k, (g, inj) in enumerate(basis)}
-        cols = []
+        ent = {}
+        j = 0
         for rel in self.relations:
-            for h in enumerate_injections(rel.degree, n):
-                pushed = rel.pushforward(h)
-                cols.append({index[(gen, inj.images)]: c
-                             for (gen, inj), c in pushed.terms.items()})
-        relmat = Matrix.from_columns(self.ring, len(basis), cols) \
-            if cols else Matrix.zero(self.ring, len(basis), 0)
-        sm = SliceModule(n, basis, PresentedModule(self.ring, len(basis), relmat))
+            terms = [(gen, tuple(v - 1 for v in g.images), c)
+                     for (gen, g), c in rel.terms.items()]
+            for h in permutations(range(1, n + 1), rel.degree):
+                for gen, g, c in terms:
+                    ent[(index[(gen, tuple([h[v] for v in g]))], j)] = c
+                j += 1
+        relmat = Matrix.canonical(self.ring, len(basis), j, ent)
+        sm = SliceModule(n, basis, index,
+                         PresentedModule(self.ring, len(basis), relmat))
         _slice_cache[key] = sm
         return sm
 
@@ -182,10 +199,10 @@ class FIPresentation:
         """The basis-relabeling map f_*: V_m -> V_n for f: [m] -> [n]."""
         src = self.evaluate_slice(f.source)
         tgt = self.evaluate_slice(f.target)
-        ent = {}
-        for k, (gen, g) in enumerate(src.basis):
-            ent[(tgt.index[(gen, f.after(g).images)], k)] = self.ring.one
-        mat = Matrix(self.ring, tgt.ambient, src.ambient, ent)
+        images, index, one = f.images, tgt.index, self.ring.one
+        ent = {(index[(gen, tuple([images[v - 1] for v in g.images]))], k): one
+               for k, (gen, g) in enumerate(src.basis)}
+        mat = Matrix.canonical(self.ring, tgt.ambient, src.ambient, ent)
         return SliceMap(f, ModuleMap(src.module, tgt.module, mat))
 
     def induced_matrix(self, f: Injection) -> Matrix:

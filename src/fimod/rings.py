@@ -249,9 +249,14 @@ def parse_ring(text: str) -> RingSpec:
         return QQ
     if t in ("Z", "ZZ"):
         return ZZ
-    for prefix in ("GF(", "F_", "F"):
-        if t.startswith(prefix):
-            digits = t[len(prefix):].rstrip(")")
-            if digits.isdigit():
-                return GF(int(digits))
+    if t.startswith("GF(") and t.endswith(")"):
+        digits = t[3:-1]
+    elif t.startswith("F_"):
+        digits = t[2:]
+    elif t.startswith("F"):
+        digits = t[1:]
+    else:
+        digits = ""
+    if digits.isascii() and digits.isdigit():
+        return GF(int(digits))
     raise ValueError(f"unrecognized ring {text!r} (expected Q, Z or Fp)")

@@ -145,6 +145,16 @@ def test_bad_table_exit_code(tmp_path, capsys, command, text):
     assert "invalid table" in err and len(err.strip().splitlines()) == 1
 
 
+def test_impossible_integer_table_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("n,free_rank,torsion\n" +
+                   "".join(f"{n},-1,0;-2;3\n" for n in range(4)))
+    assert main(["tail-equal", "--table-a", str(bad), "--table-b", str(bad),
+                 "--window", "2", "--ring", "Z"]) == 3
+    err = capsys.readouterr().err
+    assert "invalid table" in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("modulus", [2.5, "7", True, 10 ** 16 + 61])
 def test_bad_fp_modulus_exit_code(tmp_path, capsys, modulus):
     doc = {"ring": {"Fp": modulus}, "generators": [1], "relations": []}
@@ -158,6 +168,14 @@ def test_large_fp_ring_option_exit_code(m2_file, capsys):
     assert main(["eval", "--module", m2_file, "--n", "0..2",
                  "--ring", "F10000000000000061"]) == 3
     assert "2^31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring", ["F7)))", "GF(7", "F_7)", "GF(7))"])
+def test_malformed_ring_option_exit_code(m2_file, capsys, ring):
+    assert main(["eval", "--module", m2_file, "--n", "0..2",
+                 "--ring", ring]) == 3
+    err = capsys.readouterr().err
+    assert "unrecognized ring" in err and len(err.strip().splitlines()) == 1
 
 
 def test_eval_fit_inconclusive_exit_code(tmp_path, capsys):

@@ -140,3 +140,23 @@ def test_from_csv_accepts_integer_rows_without_torsion_field():
     back = DimensionTable.from_csv("n,free_rank,torsion\n0,1\n1,2,2;4\n", ZZ)
     assert [(v.free_rank, v.torsion) for v in back.values] == \
         [(1, ()), (2, (2, 4))]
+
+
+@pytest.mark.parametrize("text,ring", [
+    ("n,dim\n0,-1\n", QQ),                               # negative dimension
+    ("n,free_rank,torsion\n0,-1,\n", ZZ),                 # negative free rank
+    ("n,free_rank,torsion\n0,-1,0;-2;3\n", ZZ),
+    ("n,free_rank,torsion\n0,1,0\n", ZZ),                 # torsion 0
+    ("n,free_rank,torsion\n0,1,1\n", ZZ),                 # torsion 1
+    ("n,free_rank,torsion\n0,1,-2\n", ZZ),                # negative torsion
+    ("n,free_rank,torsion\n0,1,4;2\n", ZZ),               # 4 does not divide 2
+    ("n,free_rank,torsion\n0,1,2;3\n", ZZ),               # 2 does not divide 3
+])
+def test_from_csv_refuses_impossible_values(text, ring):
+    with pytest.raises(ValueError):
+        DimensionTable.from_csv(text, ring)
+
+
+def test_from_csv_accepts_invariant_factor_chains():
+    back = DimensionTable.from_csv("n,free_rank,torsion\n0,0,2;2;6;12\n", ZZ)
+    assert back.values[0].torsion == (2, 2, 6, 12)

@@ -152,6 +152,15 @@ def test_document_rejects_non_integral_numbers(term):
         {(0, Injection(1, 2, (1,))): -2}
 
 
+def test_relation_degree_must_be_nonnegative():
+    with pytest.raises(ValueError, match="relation degrees"):
+        FIPresentation(QQ, [1], [FreeElement(-1, {})])
+    doc = {"ring": "Q", "generators": [1],
+           "relations": [{"degree": -1, "terms": []}]}
+    with pytest.raises(ValueError, match="relation degrees"):
+        FIPresentation.from_document(doc)
+
+
 def test_slice_cache_shares_instances():
     a = free_presentation(QQ, 2)
     b = free_presentation(QQ, 2)

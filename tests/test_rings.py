@@ -61,8 +61,16 @@ def test_parse_ring_names():
     assert parse_ring("F5") == GF(5)
     assert parse_ring("F_7") == GF(7)
     assert parse_ring("GF(11)") == GF(11)
+    assert parse_ring(" F_7 ") == GF(7)
     with pytest.raises(ValueError):
         parse_ring("octonions")
+
+
+@pytest.mark.parametrize("text", ["F7)))", "GF(7", "F_7)", "GF(7))", "F7)",
+                                  "GF7", "GF()", "F", "F_", "F-7", "F٣"])
+def test_parse_ring_refuses_stray_parentheses_and_non_digits(text):
+    with pytest.raises(ValueError, match="unrecognized ring"):
+        parse_ring(text)
 
 
 @pytest.mark.parametrize("p", [2.5, 7.0, "7", True, None, [7]])
