@@ -183,8 +183,8 @@ class FIPresentation:
             terms = [(gen, tuple(v - 1 for v in g.images), c)
                      for (gen, g), c in rel.terms.items()]
             for h in permutations(range(1, n + 1), rel.degree):
-                for gen, g, c in terms:
-                    ent[(index[(gen, tuple([h[v] for v in g]))], j)] = c
+                for gen, pos, c in terms:
+                    ent[(index[(gen, tuple([h[v] for v in pos]))], j)] = c
                 j += 1
         relmat = Matrix.canonical(self.ring, len(basis), j, ent)
         sm = SliceModule(n, basis, index,
