@@ -335,8 +335,7 @@ def test_entry_preserving_operations_stay_canonical(triple):
         b = _dense(ring, b_rows, k, c)
         da, da2, db = a.to_dense_rows(), a2.to_dense_rows(), b.to_dense_rows()
         cases = [
-            (a.transpose(), [list(col) for col in zip(*da)] if r else
-             [[] for _ in range(k)]),
+            (a.transpose(), [[row[j] for row in da] for j in range(k)]),
             (a + a2, [[ring.add(x, y) for x, y in zip(u, v)]
                       for u, v in zip(da, da2)]),
             (-a, [[ring.neg(x) for x in u] for u in da]),
