@@ -10,6 +10,14 @@ relabel edges with the sign of re-sorting.
 The same module can be emitted as a finitely presented FI-module document:
 one generator per full-support edge-set, adjacent-transposition relabeling
 identifications, and the canonical triangle relations.
+
+No builder here merges terms. The surviving terms of a triangle relation
+each miss a different triangle edge, so they land on distinct edge-sets;
+relabeling along an injection is injective on edge-sets; and a relabeling
+identification pairs a generator moved by a transposition, never the
+identity, with an unmoved one. The slice relations and induced matrices
+therefore write the ring's own +-1 through `Matrix.canonical`, and the
+presentation's relations list each term once.
 """
 from __future__ import annotations
 
@@ -45,10 +53,18 @@ def _sort_sign(seq: list[tuple[int, int]]) -> tuple[tuple[tuple[int, int], ...],
     return tuple(lst), sign
 
 
-def _triangle_terms(i: int, j: int, k: int):
-    """The three edge pairs of the triangle relation, in cyclic order."""
+def _triangle_relation(i: int, j: int, k: int, extra) -> dict:
+    """e_ij e_jk + e_jk e_ik + e_ik e_ij wedged with the edges `extra`, as
+    {sorted edge-set: +-1}. A term vanishes when `extra` holds one of its
+    edges; the surviving terms each miss a different triangle edge, so no
+    two of them share an edge-set."""
     e_ij, e_jk, e_ik = (i, j), (j, k), (i, k)
-    return [(e_ij, e_jk), (e_jk, e_ik), (e_ik, e_ij)]
+    rel = {}
+    for e1, e2 in ((e_ij, e_jk), (e_jk, e_ik), (e_ik, e_ij)):
+        es, sign = _sort_sign([e1, e2, *extra])
+        if sign:
+            rel[es] = sign
+    return rel
 
 
 class ArnoldModule:
@@ -61,6 +77,7 @@ class ArnoldModule:
         self.ring = ring
         self._slices: dict[int, PresentedModule] = {}
         self._bases: dict[int, dict] = {}
+        self._signs = {1: ring.one, -1: ring.neg(ring.one)}
 
     def slice_basis(self, n: int) -> list[tuple[tuple[int, int], ...]]:
         return edge_sets(self.m, n)
@@ -73,31 +90,20 @@ class ArnoldModule:
     def slice_module(self, n: int) -> PresentedModule:
         if n in self._slices:
             return self._slices[n]
-        ring = self.ring
-        basis = self.slice_basis(n)
         index = self._basis_index(n)
-        cols = []
+        ent = {}
+        ncols = 0
         if self.m >= 2:
             all_edges = edges(n)
             for (i, j, k) in combinations(range(1, n + 1), 3):
                 for extra in combinations(all_edges, self.m - 2):
-                    col: dict[int, object] = {}
-                    for (e1, e2) in _triangle_terms(i, j, k):
-                        es, sign = _sort_sign([e1, e2, *extra])
-                        if sign == 0:
-                            continue
-                        key = index[es]
-                        coeff = ring.coerce(sign)
-                        cur = ring.add(col.get(key, ring.zero), coeff)
-                        if ring.is_zero(cur):
-                            col.pop(key, None)
-                        else:
-                            col[key] = cur
-                    if col:
-                        cols.append(col)
-        relmat = Matrix.from_columns(ring, len(basis), cols) \
-            if cols else Matrix.zero(ring, len(basis), 0)
-        sm = PresentedModule(ring, len(basis), relmat)
+                    rel = _triangle_relation(i, j, k, extra)
+                    if rel:
+                        for es, sign in rel.items():
+                            ent[(index[es], ncols)] = self._signs[sign]
+                        ncols += 1
+        relmat = Matrix.canonical(self.ring, len(index), ncols, ent)
+        sm = PresentedModule(self.ring, len(index), relmat)
         self._slices[n] = sm
         return sm
 
@@ -109,8 +115,9 @@ class ArnoldModule:
         for col, es in enumerate(src_basis):
             relabeled = [tuple(sorted((f(u), f(v)))) for (u, v) in es]
             sorted_es, sign = _sort_sign(relabeled)
-            ent[(tgt_index[sorted_es], col)] = self.ring.coerce(sign)
-        return Matrix(self.ring, len(tgt_index), len(src_basis), ent)
+            ent[(tgt_index[sorted_es], col)] = self._signs[sign]
+        return Matrix.canonical(self.ring, len(tgt_index), len(src_basis),
+                                ent)
 
     def induced_map(self, f: Injection) -> ModuleMap:
         return ModuleMap(self.slice_module(f.source),
@@ -153,8 +160,7 @@ def arnold_presentation(m: int, ring: RingSpec) -> FIPresentation:
     gen_index = {es: gi for gi, (s, es) in enumerate(gens)}
     degrees = [s for s, _ in gens]
     relations: list[FreeElement] = []
-    one = ring.one
-    # relabeling identifications
+    # relabeling identifications sigma_*(es) - sign * es', sigma != id
     for gi, (s, es) in enumerate(gens):
         for t in range(1, s):
             images = list(range(1, s + 1))
@@ -162,38 +168,23 @@ def arnold_presentation(m: int, ring: RingSpec) -> FIPresentation:
             sigma = Injection(s, s, tuple(images))
             relabeled = [tuple(sorted((sigma(u), sigma(v)))) for (u, v) in es]
             sorted_es, sign = _sort_sign(relabeled)
-            gj = gen_index[sorted_es]
-            terms = {(gi, sigma): one}
-            key = (gj, identity_injection(s))
-            terms[key] = ring.sub(terms.get(key, ring.zero),
-                                  ring.coerce(sign))
-            relations.append(FreeElement(
-                s, {k: v for k, v in terms.items() if not ring.is_zero(v)}))
+            relations.append(FreeElement(s, {
+                (gi, sigma): 1,
+                (gen_index[sorted_es], identity_injection(s)): -sign}))
     # triangle relations on full support
     if m >= 2:
         for s in range(3, 2 * m + 1):
-            all_edges = edges(s)
+            all_edges, ident = edges(s), identity_injection(s)
             for (i, j, k) in combinations(range(1, s + 1), 3):
                 for extra in combinations(all_edges, m - 2):
-                    verts = set((i, j, k))
-                    for (u, v) in extra:
-                        verts.update((u, v))
-                    if verts != set(range(1, s + 1)):
+                    # full support: the triangle and `extra` touch all of [s]
+                    if _support(((i, j), (j, k), *extra)) != ident.images:
                         continue
-                    terms: dict = {}
-                    for (e1, e2) in _triangle_terms(i, j, k):
-                        sorted_es, sign = _sort_sign([e1, e2, *extra])
-                        if sign == 0:
-                            continue
-                        key = (gen_index[sorted_es], identity_injection(s))
-                        cur = ring.add(terms.get(key, ring.zero),
-                                       ring.coerce(sign))
-                        if ring.is_zero(cur):
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = cur
-                    if terms:
-                        relations.append(FreeElement(s, terms))
+                    rel = _triangle_relation(i, j, k, extra)
+                    if rel:
+                        relations.append(FreeElement(s, {
+                            (gen_index[es], ident): sign
+                            for es, sign in rel.items()}))
     return FIPresentation(ring, degrees, relations)
 
 

@@ -102,6 +102,9 @@ def _load_presentation(path: str, ring_name: str | None) -> FIPresentation:
         raise UsageError(
             f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise UsageError(
+            f"{path}: parse error: document nested too deeply") from e
     try:
         return FIPresentation.from_document(doc, ring=ring)
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
@@ -402,12 +405,7 @@ def cmd_arnold(args) -> Report:
     ring = parse_ring(args.ring)
     lo, hi = _parse_range(args.n)
     rep = Report("arnold", {"m": args.m, "n": args.n, "ring": ring.name})
-    witness = ArnoldModule(args.m, ring)
-    values = []
-    for n in range(lo, hi + 1):
-        inv = witness.slice_module(n).invariants()
-        values.append(inv if not ring.is_field else inv.free_rank)
-    table = DimensionTable(ring, lo, values)
+    table = dimension_table(ArnoldModule(args.m, ring), lo, hi)
     rep.block("table", table.to_csv())
     if args.fit:
         _fit_table(rep, table, args.min_tail)

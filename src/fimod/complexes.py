@@ -13,6 +13,12 @@ complement; with that convention the descended differential out of T is an
 alternating sum over the complement, the sign of each target being the
 1-based rank of the inserted point.
 
+Every matrix assembled here (differentials, the homotopy, X_1, ordered
+shift structure maps, colimit relations) is a placement of canonical
+blocks at row and column offsets (`_place_blocks`): the blocks of one
+matrix never overlap, so entries are written as they are, with nothing to
+merge or coerce, through `Matrix.canonical`.
+
 Homology takes one route over Q, F_p and Z. The source is read in the free
 coordinates of its slices (over Z every slice must be torsion-free), so
 level a becomes R^{r_a} and the differential L_a a matrix over R. The image
@@ -24,10 +30,10 @@ differential over a field, one Smith form without transforms over Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .injections import Injection, enumerate_injections, standard_inclusion
-from .matrix import Matrix, block_diagonal
+from .matrix import Matrix, block_diagonal, hstack
 from .modules import (Invariants, ModuleMap, PresentedModule, is_isomorphism)
 
 
@@ -71,17 +77,15 @@ def _shift_slice(src, a: int, n: int, labels: list) -> ShiftSlice:
     return ShiftSlice(a, n, labels, summand, module)
 
 
-def _place_blocks(ring, s_to: ShiftSlice, s_from: ShiftSlice,
-                  placements) -> Matrix:
-    """The matrix s_from.module -> s_to.module assembled from placements
-    (target label index, source label index, block, negate)."""
+def _place_blocks(ring, nrows: int, ncols: int, placements) -> Matrix:
+    """The nrows x ncols matrix assembled from placements (row offset,
+    column offset, block, negate) of canonical blocks that do not overlap,
+    so every entry is written once and never merged."""
     ent = {}
-    for ti, si, block, negate in placements:
-        roff, coff = s_to.offset(ti), s_from.offset(si)
+    for roff, coff, block, negate in placements:
         for (r, c), v in block.entries.items():
             ent[(roff + r, coff + c)] = ring.neg(v) if negate else v
-    return Matrix.canonical(ring, s_to.module.ambient, s_from.module.ambient,
-                            ent)
+    return Matrix.canonical(ring, nrows, ncols, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +117,11 @@ def differential(src, a: int, n: int,
                 pos = _insert_pos(t, u)
                 if pos not in blocks:
                     blocks[pos] = src.induced_matrix(position_injection(t, t2))
-                yield tgt_index[t2], si, blocks[pos], i % 2 == 1
+                yield (s_to.offset(tgt_index[t2]), s_from.offset(si),
+                       blocks[pos], i % 2 == 1)
 
-    mat = _place_blocks(src.ring, s_to, s_from, placements())
+    mat = _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
+                        placements())
     return ModuleMap(s_from.module, s_to.module, mat)
 
 
@@ -254,8 +260,9 @@ def homotopy_matrix(src, a: int, n: int) -> Matrix:
     s_to = signed_shift_slice(src, a + 1, n + 1)
     tgt_index = {t: k for k, t in enumerate(s_to.labels)}
     ident = Matrix.identity(src.ring, s_from.summand.ambient)
-    return _place_blocks(src.ring, s_to, s_from,
-                         ((tgt_index[t], si, ident, a % 2 == 1)
+    return _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
+                         ((s_to.offset(tgt_index[t]), s_from.offset(si),
+                           ident, a % 2 == 1)
                           for si, t in enumerate(s_from.labels)))
 
 
@@ -271,8 +278,9 @@ def shift_one_matrix(src, a: int, n: int) -> Matrix:
     tgt_index = {t: k for k, t in enumerate(s_to.labels)}
     block = src.induced_matrix(standard_inclusion(n - a, n - a + 1)) \
         if a <= n else None
-    return _place_blocks(src.ring, s_to, s_from,
-                         ((tgt_index[t + (n + 1,)], si, block, False)
+    return _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
+                         ((s_to.offset(tgt_index[t + (n + 1,)]),
+                           s_from.offset(si), block, False)
                           for si, t in enumerate(s_from.labels)))
 
 
@@ -312,6 +320,12 @@ def poset_colimit(src, n: int, cutoff: int, mode: str = "full") -> PosetColimit:
     inclusions (any inclusion factors through covers, so the span is
     unchanged). mode "final-layers": only |S| in {cutoff-1, cutoff}, valid
     for cutoff <= n by finality of the top two layers.
+
+    The ambient module is the sum of the slices V_|S|. The relations are
+    each object's relation block, then one column block [I at S;
+    -f_* at S u {u}] per covering inclusion f inside the object set; I and
+    -f_* sit in the rows of different objects, so no entry merges. The
+    canonical map puts the inclusion S -> [n] on each object's columns.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -324,54 +338,31 @@ def poset_colimit(src, n: int, cutoff: int, mode: str = "full") -> PosetColimit:
         sizes = range(max(0, cutoff - 1), cutoff + 1)
     else:
         raise ValueError(f"unknown colimit mode {mode!r}")
-    objects: list[tuple[int, ...]] = []
-    for k in sizes:
-        objects.extend(subsets_of_size(n, k))
+    objects = [s for k in sizes for s in subsets_of_size(n, k)]
     obj_index = {s: k for k, s in enumerate(objects)}
     slices = [src.slice_module(len(s)) for s in objects]
-    offsets = []
-    total = 0
-    for sl in slices:
-        offsets.append(total)
-        total += sl.ambient
-    cols: list[dict] = []
-    # per-object relations
-    for oi, sl in enumerate(slices):
-        off = offsets[oi]
-        for col in sl.relations.columns():
-            cols.append({off + r: v for r, v in col.items()})
-    # gluing along covers inside the object set
+    offsets = list(accumulate((sl.ambient for sl in slices), initial=0))
+    placements = []
+    ncols = 0
+    for off, sl in zip(offsets, slices):
+        placements.append((off, ncols, sl.relations, False))
+        ncols += sl.relations.ncols
     for oi, s in enumerate(objects):
-        bigger = [v for v in range(1, n + 1) if v not in s]
-        for u in bigger:
+        ident = Matrix.identity(ring, slices[oi].ambient)
+        for u in range(1, n + 1):
             s2 = tuple(sorted(s + (u,)))
-            ti = obj_index.get(s2)
-            if ti is None:
+            if u in s or s2 not in obj_index:
                 continue
-            block_cols = src.induced_matrix(
-                position_injection(s, s2)).columns()
-            for k in range(slices[oi].ambient):
-                col = {offsets[oi] + k: ring.one}
-                for r, v in block_cols[k].items():
-                    key = offsets[ti] + r
-                    cur = col.get(key, ring.zero)
-                    cur = ring.sub(cur, v)
-                    if ring.is_zero(cur):
-                        col.pop(key, None)
-                    else:
-                        col[key] = cur
-                cols.append(col)
-    relmat = Matrix.from_columns(ring, total, cols) \
-        if cols else Matrix.zero(ring, total, 0)
-    colim = PresentedModule(ring, total, relmat)
-    target = src.slice_module(n)
-    ent = {}
-    for oi, s in enumerate(objects):
-        block = src.induced_matrix(
-            Injection(len(s), n, s))
-        for (r, c), v in block.entries.items():
-            ent[(r, offsets[oi] + c)] = v
-    cmap = ModuleMap(colim, target, Matrix(ring, target.ambient, total, ent))
+            f_star = src.induced_matrix(position_injection(s, s2))
+            placements += [(offsets[oi], ncols, ident, False),
+                           (offsets[obj_index[s2]], ncols, f_star, True)]
+            ncols += ident.ncols
+    total = offsets[-1]
+    colim = PresentedModule(ring, total,
+                            _place_blocks(ring, total, ncols, placements))
+    inclusions = hstack([src.induced_matrix(Injection(len(s), n, s))
+                         for s in objects])
+    cmap = ModuleMap(colim, src.slice_module(n), inclusions)
     return PosetColimit(n, cutoff, mode, objects, colim, cmap)
 
 
@@ -443,9 +434,11 @@ def ordered_shift_structure_map(src, a: int, w: Injection) -> ModuleMap:
             pos_tgt = {v: k + 1 for k, v in enumerate(comp_tgt)}
             rho = Injection(len(comp_src), len(comp_tgt),
                             tuple(pos_tgt[w(v)] for v in comp_src))
-            yield tgt_index[wf.images], si, src.induced_matrix(rho), False
+            yield (s_to.offset(tgt_index[wf.images]), s_from.offset(si),
+                   src.induced_matrix(rho), False)
 
-    mat = _place_blocks(src.ring, s_to, s_from, placements())
+    mat = _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
+                        placements())
     return ModuleMap(s_from.module, s_to.module, mat)
 
 

@@ -103,6 +103,8 @@ def shift_decomposition(p: FIPresentation, a: int) -> ShiftDecomposition:
                             pos += 1
                             u_images.append(pos)
                     u = Injection(e, m + a, tuple(u_images))
+                    # (gen, g) -> (label, rest) is injective because u is,
+                    # so the terms stay distinct and nonzero
                     terms: dict = {}
                     for (gen, g), coeff in rel.terms.items():
                         w = u.after(g)
@@ -111,8 +113,7 @@ def shift_decomposition(p: FIPresentation, a: int) -> ShiftDecomposition:
                         lab = ShiftLabel(gen, t_sub, t_tar)
                         d_rest = p.generator_degrees[gen] - len(t_sub)
                         key = (label_pos[lab], Injection(d_rest, m, t_rest))
-                        terms[key] = terms.get(key, 0) + coeff
-                    terms = {k: v for k, v in terms.items() if v != 0}
+                        terms[key] = coeff
                     if terms:
                         relations.append(FreeElement(m, terms))
     shifted = FIPresentation(p.ring, gen_degrees, relations)

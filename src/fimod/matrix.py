@@ -8,8 +8,11 @@ zeros and check the bounds, so raw values may go in. `Matrix.canonical`
 does none of that: it wraps entries that already hold the invariant. The
 operations that only move, negate or combine the entries of canonical
 matrices build their results with it: `transpose`, `+`, unary `-`, `@`,
-`hstack`, `vstack` and `block_diagonal`, as do slice assembly and induced
-maps in `presentations` and block placement in `complexes`.
+`hstack`, `vstack` and `block_diagonal`, as do the builders whose terms
+provably never meet at one entry: slice assembly and induced maps in
+`presentations`, the witness's slice relations and induced maps in
+`arnold`, and block placement in `complexes` (differentials, the homotopy,
+X_1, ordered shift maps and poset colimit relations).
 
 Every sparse elimination runs through one `SparseEliminator`: rank over
 F_p, fraction-free rank over Q and Z, unit-pivot stripping before a Smith
@@ -21,7 +24,7 @@ pivot costs heap pops instead of a scan over every row. A small
 `PivotPolicy` per mode picks the pivot column and updates the target rows:
 
 - rank over F_p: the row's column held by the fewest rows (Markowitz) and
-  mod-p row operations. Matrices above 50% fill use dense elimination.
+  mod-p row operations.
 - rank over Q and Z: fraction-free integer rows, each divided by its
   content gcd after every update; pivot columns unit first, then fewest
   rows, then smallest |value|. Rational inputs are row-scaled to integers
@@ -118,10 +121,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def density(self) -> float:
-        cells = self.nrows * self.ncols
-        return len(self.entries) / cells if cells else 0.0
 
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
@@ -393,7 +392,7 @@ class SparseEliminator:
 
 
 # ---------------------------------------------------------------------------
-# rank over F_p: sparse elimination below 50% fill, dense list rows above it.
+# rank over F_p
 
 class _ModP(PivotPolicy):
     """Markowitz column (the row's column held by the fewest rows); the
@@ -412,40 +411,7 @@ class _ModP(PivotPolicy):
 
 
 def _rank_mod_p(m: Matrix, p: int) -> int:
-    if not m.entries:
-        return 0
-    if m.density() > 0.5:
-        return _rank_mod_p_dense(m.to_dense_rows(), p)
     return SparseEliminator(m.nonzero_rows(), _ModP(p)).run()
-
-
-def _rank_mod_p_dense(rows: list[list[int]], p: int) -> int:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            f = (rows[i][c] * inv) % p
-            if f:
-                ri = rows[i]
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - f * prow[j]) % p
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

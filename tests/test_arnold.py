@@ -3,14 +3,19 @@ import random
 
 import pytest
 
-from fimod.arnold import (ArnoldModule, admissible_edge_sets,
-                          arnold_induced_map, arnold_presentation,
-                          arnold_slice, edge_sets, edges)
+from itertools import combinations
+
+from fimod.arnold import (ArnoldModule, _sort_sign, _support,
+                          admissible_edge_sets, arnold_induced_map,
+                          arnold_presentation, arnold_slice, edge_sets, edges)
 from fimod.complexes import check_inductive, find_N
 from fimod.dimensions import DimensionTable, fit_polynomial
-from fimod.injections import Injection
+from fimod.injections import Injection, identity_injection, standard_inclusion
+from fimod.matrix import Matrix
+from fimod.presentations import FIPresentation, FreeElement
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import random_injection
+from tests.test_matrix import assert_canonical
 
 
 def elementary_symmetric_2(n):
@@ -108,7 +113,6 @@ def test_presentation_export_runs_through_complex_machinery():
 
 
 def test_presentation_export_round_trips():
-    from fimod.presentations import FIPresentation
     pres = arnold_presentation(2, ZZ)
     again = FIPresentation.loads(pres.dumps())
     assert again.content_hash() == pres.content_hash()
@@ -153,3 +157,110 @@ def test_edge_helpers():
     assert edges(3) == [(1, 2), (1, 3), (2, 3)]
     assert len(edge_sets(2, 4)) == math.comb(6, 2)
     assert arnold_induced_map(1, Injection(2, 3, (3, 1)), QQ).matrix.ncols == 1
+
+
+# ---------------------------------------------------------------------------
+# differential references: the witness built by merging coerced terms
+
+def triangle_terms_reference(i, j, k):
+    e_ij, e_jk, e_ik = (i, j), (j, k), (i, k)
+    return [(e_ij, e_jk), (e_jk, e_ik), (e_ik, e_ij)]
+
+
+def arnold_relations_reference(m: int, n: int, ring) -> Matrix:
+    """The degree-n relation matrix with every triangle term coerced and
+    added into its column (dropping zeros), then Matrix.from_columns."""
+    basis = edge_sets(m, n)
+    index = {es: k for k, es in enumerate(basis)}
+    cols = []
+    if m >= 2:
+        for (i, j, k) in combinations(range(1, n + 1), 3):
+            for extra in combinations(edges(n), m - 2):
+                col: dict = {}
+                for (e1, e2) in triangle_terms_reference(i, j, k):
+                    es, sign = _sort_sign([e1, e2, *extra])
+                    if sign == 0:
+                        continue
+                    key = index[es]
+                    cur = ring.add(col.get(key, ring.zero), ring.coerce(sign))
+                    if ring.is_zero(cur):
+                        col.pop(key, None)
+                    else:
+                        col[key] = cur
+                if col:
+                    cols.append(col)
+    if not cols:
+        return Matrix.zero(ring, len(basis), 0)
+    return Matrix.from_columns(ring, len(basis), cols)
+
+
+def arnold_induced_reference(m: int, f: Injection, ring) -> Matrix:
+    """f_* with each re-sorting sign coerced by Matrix()."""
+    index = {es: k for k, es in enumerate(edge_sets(m, f.target))}
+    ent = {}
+    for col, es in enumerate(edge_sets(m, f.source)):
+        sorted_es, sign = _sort_sign(
+            [tuple(sorted((f(u), f(v)))) for (u, v) in es])
+        ent[(index[sorted_es], col)] = sign
+    return Matrix(ring, len(index), len(edge_sets(m, f.source)), ent)
+
+
+def arnold_presentation_reference(m: int, ring) -> FIPresentation:
+    """The exported presentation with every relation merged term by term."""
+    gens = [(s, es) for s in range(0, 2 * m + 1) for es in edge_sets(m, s)
+            if _support(es) == tuple(range(1, s + 1))]
+    gen_index = {es: gi for gi, (s, es) in enumerate(gens)}
+    relations = []
+    for gi, (s, es) in enumerate(gens):
+        for t in range(1, s):
+            images = list(range(1, s + 1))
+            images[t - 1], images[t] = images[t], images[t - 1]
+            sigma = Injection(s, s, tuple(images))
+            sorted_es, sign = _sort_sign(
+                [tuple(sorted((sigma(u), sigma(v)))) for (u, v) in es])
+            terms = {(gi, sigma): ring.one}
+            key = (gen_index[sorted_es], identity_injection(s))
+            terms[key] = ring.sub(terms.get(key, ring.zero), ring.coerce(sign))
+            relations.append(FreeElement(
+                s, {k: v for k, v in terms.items() if not ring.is_zero(v)}))
+    if m >= 2:
+        for s in range(3, 2 * m + 1):
+            for (i, j, k) in combinations(range(1, s + 1), 3):
+                for extra in combinations(edges(s), m - 2):
+                    verts = {i, j, k}.union(*extra)
+                    if verts != set(range(1, s + 1)):
+                        continue
+                    terms: dict = {}
+                    for (e1, e2) in triangle_terms_reference(i, j, k):
+                        sorted_es, sign = _sort_sign([e1, e2, *extra])
+                        if sign == 0:
+                            continue
+                        key = (gen_index[sorted_es], identity_injection(s))
+                        cur = ring.add(terms.get(key, ring.zero),
+                                       ring.coerce(sign))
+                        if ring.is_zero(cur):
+                            terms.pop(key, None)
+                        else:
+                            terms[key] = cur
+                    if terms:
+                        relations.append(FreeElement(s, terms))
+    return FIPresentation(ring, [s for s, _ in gens], relations)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ])
+@pytest.mark.parametrize("m", range(4))
+def test_witness_matches_merged_references(m, ring):
+    rng = random.Random(17 * m + 5)
+    witness = ArnoldModule(m, ring)
+    for n in range(7):
+        rel = witness.slice_module(n).relations
+        assert rel == arnold_relations_reference(m, n, ring), n
+        assert_canonical(rel)
+    for lo in range(7):
+        for hi in range(lo, 7):
+            for f in (standard_inclusion(lo, hi), random_injection(rng, lo, hi)):
+                mat = witness.induced_matrix(f)
+                assert mat == arnold_induced_reference(m, f, ring), f
+                assert_canonical(mat)
+    assert arnold_presentation(m, ring).content_hash() == \
+        arnold_presentation_reference(m, ring).content_hash()

@@ -194,6 +194,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err and "line" in err
 
 
+def test_deeply_nested_document_exit_code(tmp_path, capsys):
+    # deeper than the json decoder's recursion limit
+    bad = tmp_path / "deep.fim"
+    bad.write_text('{"ring": ' + "[" * 10000 + "]" * 10000 + "}")
+    assert main(["eval", "--module", str(bad), "--n", "0..2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fimod: error:")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
 def test_nonprime_ring_rejected(tmp_path, capsys):
     doc = {"ring": {"Fp": 6}, "generators": [1], "relations": []}
     bad = tmp_path / "f6.fim"

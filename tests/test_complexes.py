@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fimod.arnold import ArnoldModule
 from fimod.complexes import (check_inductive, complex_homology, differential,
                              find_N, homology_field_table, homotopy_matrix,
                              ordered_shift_free_iso, ordered_shift_slice,
                              ordered_shift_structure_map, poset_colimit,
-                             shift_one_matrix, signed_shift_slice,
+                             position_injection, shift_one_matrix, signed_shift_slice,
                              slice_complex, subsets_of_size,
                              verify_chain_homotopy)
 from fimod.functors import h0_slice
@@ -521,3 +522,80 @@ def test_placed_block_matrices_are_canonical(ring):
             for a in range(0, 3):
                 w = random_injection(rng, n, n + 1)
                 assert_canonical(ordered_shift_structure_map(p, a, w).matrix)
+
+
+# ---------------------------------------------------------------------------
+# differential reference: poset colimits merged column by column
+
+def poset_colimit_reference(src, n, cutoff, mode):
+    """(objects, relations, canonical map) of the colimit, with each gluing
+    column [I at S; -f_* at S u {u}] merged entry by entry through
+    ring.sub, the relations built by Matrix.from_columns and the canonical
+    map by a coercing Matrix()."""
+    ring = src.ring
+    sizes = range(0, min(cutoff, n) + 1) if mode == "full" else \
+        range(max(0, cutoff - 1), cutoff + 1)
+    objects = [s for k in sizes for s in subsets_of_size(n, k)]
+    obj_index = {s: k for k, s in enumerate(objects)}
+    slices = [src.slice_module(len(s)) for s in objects]
+    offsets, total = [], 0
+    for sl in slices:
+        offsets.append(total)
+        total += sl.ambient
+    cols = []
+    for oi, sl in enumerate(slices):
+        cols.extend({offsets[oi] + r: v for r, v in col.items()}
+                    for col in sl.relations.columns())
+    for oi, s in enumerate(objects):
+        for u in range(1, n + 1):
+            s2 = tuple(sorted(s + (u,)))
+            if u in s or s2 not in obj_index:
+                continue
+            ti = obj_index[s2]
+            block_cols = src.induced_matrix(position_injection(s, s2)).columns()
+            for k in range(slices[oi].ambient):
+                col = {offsets[oi] + k: ring.one}
+                for r, v in block_cols[k].items():
+                    key = offsets[ti] + r
+                    cur = ring.sub(col.get(key, ring.zero), v)
+                    if ring.is_zero(cur):
+                        col.pop(key, None)
+                    else:
+                        col[key] = cur
+                cols.append(col)
+    relations = Matrix.from_columns(ring, total, cols) if cols \
+        else Matrix.zero(ring, total, 0)
+    ent = {}
+    for oi, s in enumerate(objects):
+        block = src.induced_matrix(Injection(len(s), n, s))
+        for (r, c), v in block.entries.items():
+            ent[(r, offsets[oi] + c)] = v
+    cmap = Matrix(ring, src.slice_module(n).ambient, total, ent)
+    return objects, relations, cmap
+
+
+def assert_colimits_match_reference(src, n_max):
+    for n in range(n_max + 1):
+        for mode, top in (("full", n + 1), ("final-layers", n)):
+            for cutoff in range(top + 1):
+                col = poset_colimit(src, n, cutoff, mode)
+                objects, relations, cmap = \
+                    poset_colimit_reference(src, n, cutoff, mode)
+                assert col.objects == objects
+                assert col.module.relations == relations, (n, cutoff, mode)
+                assert col.canonical.matrix == cmap, (n, cutoff, mode)
+                assert_canonical(col.module.relations)
+                assert_canonical(col.canonical.matrix)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ])
+@pytest.mark.parametrize("seed", range(4))
+def test_colimits_match_merged_reference(seed, ring):
+    for struct in seeded_structures(seed, 20):
+        assert_colimits_match_reference(instantiate(struct, ring), 4)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ])
+def test_witness_colimits_match_merged_reference(ring):
+    for m in (1, 2):
+        assert_colimits_match_reference(ArnoldModule(m, ring), 4)

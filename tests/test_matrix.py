@@ -85,7 +85,7 @@ def test_rank_dense_fallback_mod_p():
     rng = random.Random(3)
     rows = [[rng.randrange(5) for _ in range(10)] for _ in range(10)]
     m = Matrix.from_rows(GF(5), rows)
-    assert m.density() > 0.5
+    assert len(m.entries) > 50
     assert m.rank() == dense_rank_reference_mod_p(rows, 5)
 
 
