@@ -2,8 +2,8 @@
 
 Every command prints a deterministic text report: tool version, command,
 config echo (sorted JSON), seed, one line per check, payload blocks, and a
-final status. Exit codes: 0 all checks pass, 1 any check failed, 2 no
-failures but at least one inconclusive, 3 usage, parse or write error.
+final status. Exit codes: 0 all checks pass, 1 a check failed, 2 none
+failed but some inconclusive, 3 usage, parse or write error, 4 internal error.
 """
 from __future__ import annotations
 
@@ -580,6 +580,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as e:
         sys.stderr.write(f"fimod: error: {e}\n")
         return 3
+    except Exception as e:
+        sys.stderr.write(f"fimod: internal error: {type(e).__name__}: {e}\n")
+        return 4
     return report.exit_code
 
 

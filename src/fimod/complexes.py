@@ -9,9 +9,10 @@ The degree-n slice of the signed complex has, at level a, one summand for
 each subset T of [n] of size n - a, realized as the degree-(n-a) slice
 through the order-preserving bijection with T. The distinguished ordered
 representative of the summand T is the increasing enumeration of its
-complement; with that convention the descended differential out of T is an
-alternating sum over the complement, the sign of each target being the
-1-based rank of the inserted point.
+complement; then the differential out of T is an alternating sum over the
+complement. The cover table (`_subset_index`, `_covers`) is the one place
+that knows subset order and cover incidence: u inserted at position p of T
+takes block p (`_cover_blocks`) and sign (-1)^(u-p), u-p its complement rank.
 
 Every matrix assembled here (differentials, the homotopy, X_1, ordered
 shift structure maps, colimit relations) is a placement of canonical
@@ -30,7 +31,8 @@ differential over a field, one Smith form without transforms over Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import lru_cache
+from itertools import combinations
 
 from .injections import Injection, enumerate_injections, standard_inclusion
 from .matrix import Matrix, block_diagonal, hstack
@@ -38,18 +40,33 @@ from .modules import (Invariants, ModuleMap, PresentedModule, is_isomorphism)
 
 
 def subsets_of_size(n: int, k: int) -> list[tuple[int, ...]]:
-    return [tuple(s) for s in combinations(range(1, n + 1), k)]
-
-
-def position_injection(small: tuple[int, ...], big: tuple[int, ...]) -> Injection:
-    """The injection [|small|] -> [|big|] of positions induced by an
-    inclusion of sorted subsets."""
-    pos = {v: k + 1 for k, v in enumerate(big)}
-    return Injection(len(small), len(big), tuple(pos[v] for v in small))
+    return list(_subset_index(n, k))
 
 
 # ---------------------------------------------------------------------------
-# shift slices and block assembly
+# subset tables, shift slices and block assembly
+
+@lru_cache(maxsize=64)
+def _subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """k-subsets of [n] in lexicographic order -> position (read only)."""
+    return {s: i for i, s in enumerate(combinations(range(1, n + 1), k))}
+
+
+@lru_cache(maxsize=64)
+def _covers(n: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(index of S, index of S ∪ {u}, insertion position p, u) for each
+    k-subset S of [n] and u not in S: S lexicographic, then u increasing."""
+    big = _subset_index(n, k + 1)
+    return tuple((si, big[tuple(sorted(s + (u,)))], sum(v < u for v in s), u)
+                 for s, si in _subset_index(n, k).items()
+                 for u in range(1, n + 1) if u not in s)
+
+
+def _cover_blocks(src, k: int) -> list[Matrix]:
+    """f_* of the k + 1 injections [k] -> [k+1]; the p-th skips p + 1."""
+    return [src.induced_matrix(Injection(k, k + 1, tuple(
+        i + (i > p) for i in range(1, k + 1)))) for p in range(k + 1)]
+
 
 @dataclass
 class ShiftSlice:
@@ -91,11 +108,17 @@ def _place_blocks(ring, nrows: int, ncols: int, placements) -> Matrix:
 # ---------------------------------------------------------------------------
 # signed slices and differentials
 
-def signed_shift_slice(src, a: int, n: int) -> ShiftSlice:
-    """Level-a piece of the signed complex at degree n."""
+def _level(src, a: int, n: int) -> tuple[dict, int]:
+    """(subset index, summand size) of level a at degree n, unbuilt."""
     if a < 0 or n < 0:
         raise ValueError("level and degree must be >= 0")
-    return _shift_slice(src, a, n, subsets_of_size(n, n - a) if a <= n else [])
+    return (_subset_index(n, n - a), src.slice_module(n - a).ambient) \
+        if a <= n else ({}, 0)
+
+
+def signed_shift_slice(src, a: int, n: int) -> ShiftSlice:
+    """Level-a piece of the signed complex at degree n."""
+    return _shift_slice(src, a, n, list(_level(src, a, n)[0]))
 
 
 def differential(src, a: int, n: int,
@@ -106,27 +129,12 @@ def differential(src, a: int, n: int,
         raise ValueError("differential needs 1 <= a <= n")
     s_from = source_slice or signed_shift_slice(src, a, n)
     s_to = target_slice or signed_shift_slice(src, a - 1, n)
-    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
-    blocks: dict[int, Matrix] = {}   # insertion position -> induced matrix
-
-    def placements():
-        for si, t in enumerate(s_from.labels):
-            complement = [u for u in range(1, n + 1) if u not in t]
-            for i, u in enumerate(complement, start=1):
-                t2 = tuple(sorted(t + (u,)))
-                pos = _insert_pos(t, u)
-                if pos not in blocks:
-                    blocks[pos] = src.induced_matrix(position_injection(t, t2))
-                yield (s_to.offset(tgt_index[t2]), s_from.offset(si),
-                       blocks[pos], i % 2 == 1)
-
+    blocks = _cover_blocks(src, n - a)
     mat = _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
-                        placements())
+                        ((s_to.offset(ti), s_from.offset(si), blocks[p],
+                          (u - p) % 2 == 1)
+                         for si, ti, p, u in _covers(n, n - a)))
     return ModuleMap(s_from.module, s_to.module, mat)
-
-
-def _insert_pos(t: tuple[int, ...], u: int) -> int:
-    return sum(1 for v in t if v < u)
 
 
 @dataclass
@@ -256,14 +264,12 @@ def homotopy_matrix(src, a: int, n: int) -> Matrix:
     summand T of [n] to the summand T of [n+1]; re-sorting the
     representative costs the sign (-1)^a.
     """
-    s_from = signed_shift_slice(src, a, n)
-    s_to = signed_shift_slice(src, a + 1, n + 1)
-    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
-    ident = Matrix.identity(src.ring, s_from.summand.ambient)
-    return _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
-                         ((s_to.offset(tgt_index[t]), s_from.offset(si),
-                           ident, a % 2 == 1)
-                          for si, t in enumerate(s_from.labels)))
+    subsets, size = _level(src, a, n)
+    targets = _subset_index(n + 1, n - a) if a <= n else {}
+    ident = Matrix.identity(src.ring, size)
+    return _place_blocks(src.ring, len(targets) * size, len(subsets) * size,
+                         ((targets[t] * size, si * size, ident, a % 2 == 1)
+                          for t, si in subsets.items()))
 
 
 def shift_one_matrix(src, a: int, n: int) -> Matrix:
@@ -273,22 +279,19 @@ def shift_one_matrix(src, a: int, n: int) -> Matrix:
     inclusion of its slice; the representative stays increasing, so no
     sign appears.
     """
-    s_from = signed_shift_slice(src, a, n)
-    s_to = signed_shift_slice(src, a, n + 1)
-    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
+    subsets, size = _level(src, a, n)
+    targets, big = _level(src, a, n + 1)
     block = src.induced_matrix(standard_inclusion(n - a, n - a + 1)) \
         if a <= n else None
-    return _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
-                         ((s_to.offset(tgt_index[t + (n + 1,)]),
-                           s_from.offset(si), block, False)
-                          for si, t in enumerate(s_from.labels)))
+    return _place_blocks(src.ring, len(targets) * big, len(subsets) * size,
+                         ((targets[(*t, n + 1)] * big, si * size, block, False)
+                          for t, si in subsets.items()))
 
 
 def verify_chain_homotopy(src, a: int, n: int) -> bool:
     """Exact matrix identity dG + Gd = -X_1 at level a, degree n."""
     if not 0 <= a <= n:
         raise ValueError("need 0 <= a <= n")
-    ring = src.ring
     g_a = homotopy_matrix(src, a, n)
     d_up = differential(src, a + 1, n + 1).matrix
     lhs = d_up @ g_a
@@ -339,25 +342,23 @@ def poset_colimit(src, n: int, cutoff: int, mode: str = "full") -> PosetColimit:
     else:
         raise ValueError(f"unknown colimit mode {mode!r}")
     objects = [s for k in sizes for s in subsets_of_size(n, k)]
-    obj_index = {s: k for k, s in enumerate(objects)}
-    slices = [src.slice_module(len(s)) for s in objects]
-    offsets = list(accumulate((sl.ambient for sl in slices), initial=0))
+    slices = {k: src.slice_module(k) for k in sizes}
+    offsets = {}                       # k -> first row of layer k
     placements = []
-    ncols = 0
-    for off, sl in zip(offsets, slices):
-        placements.append((off, ncols, sl.relations, False))
-        ncols += sl.relations.ncols
-    for oi, s in enumerate(objects):
-        ident = Matrix.identity(ring, slices[oi].ambient)
-        for u in range(1, n + 1):
-            s2 = tuple(sorted(s + (u,)))
-            if u in s or s2 not in obj_index:
-                continue
-            f_star = src.induced_matrix(position_injection(s, s2))
-            placements += [(offsets[oi], ncols, ident, False),
-                           (offsets[obj_index[s2]], ncols, f_star, True)]
-            ncols += ident.ncols
-    total = offsets[-1]
+    total = ncols = 0
+    for k, sl in slices.items():
+        offsets[k] = total
+        for _ in _subset_index(n, k):
+            placements.append((total, ncols, sl.relations, False))
+            total += sl.ambient
+            ncols += sl.relations.ncols
+    for k in sizes[:-1]:
+        small, big = slices[k].ambient, slices[k + 1].ambient
+        ident, blocks = Matrix.identity(ring, small), _cover_blocks(src, k)
+        for si, ti, p, _ in _covers(n, k):
+            placements += [(offsets[k] + si * small, ncols, ident, False),
+                           (offsets[k + 1] + ti * big, ncols, blocks[p], True)]
+            ncols += small
     colim = PresentedModule(ring, total,
                             _place_blocks(ring, total, ncols, placements))
     inclusions = hstack([src.induced_matrix(Injection(len(s), n, s))

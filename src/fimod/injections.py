@@ -54,11 +54,6 @@ def standard_inclusion(m: int, n: int) -> Injection:
     return Injection(m, n, tuple(range(1, m + 1)))
 
 
-def subset_inclusion(subset: tuple[int, ...], n: int) -> Injection:
-    """[k] -> [n] hitting the given sorted k-subset of [n] in order."""
-    return Injection(len(subset), n, tuple(subset))
-
-
 def enumerate_injections(d: int, n: int) -> list[Injection]:
     """All injections [d] -> [n] in lexicographic order of image tuples.
 

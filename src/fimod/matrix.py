@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .rings import PrimeField, RationalField, RingSpec
 
@@ -425,9 +425,7 @@ def _primitive_rows(m: Matrix) -> dict[int, dict[int, int]]:
     rows = m.nonzero_rows()
     for i, row in rows.items():
         if isinstance(m.ring, RationalField):
-            den = 1
-            for v in row.values():
-                den = den * v.denominator // gcd(den, v.denominator)
+            den = lcm(*(v.denominator for v in row.values()))
             rows[i] = row = {j: v.numerator * (den // v.denominator)
                              for j, v in row.items()}
         _reduce_content(row)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -241,9 +242,9 @@ class FIPresentation:
                 inj = Injection(len(t["injection"]), degree, tuple(
                     _json_int(x, "injection entry") for x in t["injection"]))
                 coeff = t["coeff"]
-                if type(coeff) not in (int, str):
-                    raise ValueError("a coefficient must be an integer or a "
-                                     f"string, got {coeff!r}")
+                if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", str(coeff)):
+                    raise ValueError("a coefficient must be a JSON integer or "
+                                     f"a string b or a/b, got {coeff!r}")
                 coeff = ring.coerce(Fraction(coeff))
                 key = (_json_int(t["gen"], "gen"), inj)
                 if key in terms:

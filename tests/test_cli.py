@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fimod import cli
 from fimod.cli import build_parser, main
 from fimod.presentations import FIPresentation, FreeElement, free_presentation
 from fimod.injections import Injection
@@ -224,6 +225,36 @@ def test_degenerate_coefficient_exit_code(tmp_path, capsys, ring, coeff):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
     assert err.startswith("fimod: error:")
+
+
+# Fraction() reads every one of these; "1e99999999" builds 10**99999999
+@pytest.mark.parametrize("coeff", ["1e99999999", "1e3", "1_000", " 7 ", "1.5"])
+def test_coefficient_grammar_exit_code(tmp_path, capsys, coeff):
+    doc = {"ring": "Q", "generators": [1], "relations": [
+        {"degree": 2, "terms": [{"gen": 0, "injection": [1],
+                                 "coeff": coeff}]}]}
+    bad = tmp_path / "coeff.fim"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval", "--module", str(bad), "--n", "0..2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("fimod: error:")
+
+
+def test_internal_error_exit_code(monkeypatch, capsys, m2_file):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    # the parser is built once per process and holds the command functions
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    build_parser.cache_clear()
+    try:
+        code = main(["eval", "--module", m2_file, "--n", "0..2"])
+    finally:
+        build_parser.cache_clear()
+    assert code == 4
+    assert capsys.readouterr().err == \
+        "fimod: internal error: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize("where", ["generator degree", "relation degree",

@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+import fimod.complexes
 from fimod.arnold import ArnoldModule
 from fimod.complexes import (check_inductive, complex_homology, differential,
                              find_N, homology_field_table, homotopy_matrix,
                              ordered_shift_free_iso, ordered_shift_slice,
                              ordered_shift_structure_map, poset_colimit,
-                             position_injection, shift_one_matrix, signed_shift_slice,
+                             shift_one_matrix, signed_shift_slice,
                              slice_complex, subsets_of_size,
                              verify_chain_homotopy)
 from fimod.functors import h0_slice
-from fimod.injections import Injection
+from fimod.injections import Injection, standard_inclusion
 from fimod.matrix import Matrix, block_diagonal, hstack
-from fimod.modules import Invariants, PresentedModule, is_isomorphism
+from fimod.modules import (Invariants, ModuleMap, PresentedModule,
+                           is_isomorphism)
 from fimod.presentations import FIPresentation, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
@@ -525,7 +527,118 @@ def test_placed_block_matrices_are_canonical(ring):
 
 
 # ---------------------------------------------------------------------------
-# differential reference: poset colimits merged column by column
+# references: complex matrices from per-label subset combinatorics, and
+# poset colimits merged column by column
+
+def position_injection(small, big):
+    """The injection [|small|] -> [|big|] of positions induced by an
+    inclusion of sorted subsets."""
+    pos = {v: k + 1 for k, v in enumerate(big)}
+    return Injection(len(small), len(big), tuple(pos[v] for v in small))
+
+
+def placed_reference(ring, nrows, ncols, placements):
+    """The matrix of non-overlapping blocks (row offset, column offset,
+    block, negate), entries coerced by Matrix()."""
+    ent = {}
+    for roff, coff, block, negate in placements:
+        for (r, c), v in block.entries.items():
+            ent[(roff + r, coff + c)] = ring.neg(v) if negate else v
+    return Matrix(ring, nrows, ncols, ent)
+
+
+def differential_reference(src, a, n):
+    """d out of level a at degree n: for each label T and each u in its
+    complement, the block induced by T -> T + {u}, negated when the rank of
+    u in the complement is odd."""
+    s_from = signed_shift_slice(src, a, n)
+    s_to = signed_shift_slice(src, a - 1, n)
+    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
+    placements = []
+    for si, t in enumerate(s_from.labels):
+        complement = [u for u in range(1, n + 1) if u not in t]
+        for i, u in enumerate(complement, start=1):
+            t2 = tuple(sorted(t + (u,)))
+            placements.append((s_to.offset(tgt_index[t2]), s_from.offset(si),
+                               src.induced_matrix(position_injection(t, t2)),
+                               i % 2 == 1))
+    mat = placed_reference(src.ring, s_to.module.ambient,
+                           s_from.module.ambient, placements)
+    return ModuleMap(s_from.module, s_to.module, mat)
+
+
+def homotopy_matrix_reference(src, a, n):
+    """G: the summand T of (a, n) to the summand T of (a+1, n+1), sign
+    (-1)^a."""
+    s_from = signed_shift_slice(src, a, n)
+    s_to = signed_shift_slice(src, a + 1, n + 1)
+    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
+    ident = Matrix.identity(src.ring, s_from.summand.ambient)
+    return placed_reference(src.ring, s_to.module.ambient,
+                            s_from.module.ambient,
+                            [(s_to.offset(tgt_index[t]), s_from.offset(si),
+                              ident, a % 2 == 1)
+                             for si, t in enumerate(s_from.labels)])
+
+
+def shift_one_matrix_reference(src, a, n):
+    """X_1: the summand T of (a, n) to the summand T + {n+1} of (a, n+1)
+    through the standard inclusion."""
+    s_from = signed_shift_slice(src, a, n)
+    s_to = signed_shift_slice(src, a, n + 1)
+    tgt_index = {t: k for k, t in enumerate(s_to.labels)}
+    block = src.induced_matrix(standard_inclusion(n - a, n - a + 1)) \
+        if a <= n else None
+    return placed_reference(src.ring, s_to.module.ambient,
+                            s_from.module.ambient,
+                            [(s_to.offset(tgt_index[t + (n + 1,)]),
+                              s_from.offset(si), block, False)
+                             for si, t in enumerate(s_from.labels)])
+
+
+def assert_complex_matrices_match_reference(src, n_max):
+    for n in range(n_max + 1):
+        for a in range(n + 1):
+            if a:
+                got = differential(src, a, n).matrix
+                assert got == differential_reference(src, a, n).matrix, (a, n)
+                assert_canonical(got)
+            for build, reference in ((homotopy_matrix,
+                                      homotopy_matrix_reference),
+                                     (shift_one_matrix,
+                                      shift_one_matrix_reference)):
+                got = build(src, a, n)
+                assert got == reference(src, a, n), (build.__name__, a, n)
+                assert_canonical(got)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ])
+@pytest.mark.parametrize("seed", range(3))
+def test_complex_matrices_match_reference(seed, ring):
+    for struct in seeded_structures(seed, 12):
+        assert_complex_matrices_match_reference(instantiate(struct, ring), 4)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ])
+def test_free_and_witness_complex_matrices_match_reference(ring):
+    for src in [free_presentation(ring, d) for d in (0, 1, 2)] + \
+            [ArnoldModule(2, ring)]:
+        assert_complex_matrices_match_reference(src, 4)
+
+
+@pytest.mark.parametrize("a", range(4))
+def test_chain_homotopy_builds_each_level_once(monkeypatch, a):
+    built = []
+    build = fimod.complexes._shift_slice
+
+    def counting(src, level, n, labels):
+        built.append((level, n))
+        return build(src, level, n, labels)
+
+    monkeypatch.setattr(fimod.complexes, "_shift_slice", counting)
+    assert verify_chain_homotopy(free_presentation(QQ, 1), a, 3)
+    assert len(built) == len(set(built)) == (4 if a else 2)
+
 
 def poset_colimit_reference(src, n, cutoff, mode):
     """(objects, relations, canonical map) of the colimit, with each gluing

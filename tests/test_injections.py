@@ -5,7 +5,7 @@ import pytest
 
 from fimod.injections import (Injection, count_injections,
                               enumerate_injections, identity_injection,
-                              standard_inclusion, subset_inclusion)
+                              standard_inclusion)
 
 
 def test_enumeration_counts_and_order():
@@ -61,5 +61,4 @@ def test_composition_associativity():
 
 def test_helpers():
     assert standard_inclusion(2, 4).images == (1, 2)
-    assert subset_inclusion((2, 5), 6).images == (2, 5)
     assert identity_injection(0).images == ()
