@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -78,12 +79,29 @@ class Report:
         return "\n".join(head + self.lines + [f"status: {self.status}"]) + "\n"
 
 
+def _integer(text: str) -> int:
+    """An integer option value: an optional minus sign and ASCII digits,
+    nothing else. int() alone would also take '1_0', surrounding
+    whitespace, a plus sign and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _integers(option: str, text: str) -> tuple[int, ...]:
+    """A comma list of `_integer`s (--J, --images, --positions)."""
+    try:
+        return tuple(_integer(x) for x in text.split(","))
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(f"argument {option}: {e}") from e
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = _integer(lo), _integer(hi if sep else lo)
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"bad degree range {text!r}") from None
     if lo < 0 or hi < lo:
         raise UsageError(f"bad degree range {text!r}")
     return lo, hi
@@ -269,7 +287,7 @@ def cmd_saturate(args) -> Report:
 def cmd_homology(args) -> Report:
     _require_degree(args.n)
     p = _load_presentation(args.module, args.ring)
-    positions = [int(x) for x in args.positions.split(",")] \
+    positions = _integers("--positions", args.positions) \
         if args.positions else None
     primes = _default_primes()
     rep = Report("homology", {"module": args.module, "n": args.n,
@@ -358,7 +376,7 @@ def cmd_fit(args) -> Report:
 
 
 def _parse_multiindex(args) -> MultiIndex:
-    J = tuple(int(x) for x in args.J.split(","))
+    J = _integers("--J", args.J)
     if len(J) != args.r:
         raise UsageError(f"J has {len(J)} components, expected r = {args.r}")
     return MultiIndex(args.r, J)
@@ -385,7 +403,7 @@ def cmd_coinv_map(args) -> Report:
     if not ring.is_field:
         raise UsageError("coinvariant computations are field-only")
     spec = _parse_multiindex(args)
-    images = tuple(int(x) for x in args.images.split(","))
+    images = _integers("--images", args.images)
     try:
         f = Injection(len(images), args.target, images)
     except ValueError as e:
@@ -397,7 +415,8 @@ def cmd_coinv_map(args) -> Report:
             for i in range(mat.nrows)]
     rep.note(f"dual map matrix ({mat.nrows} x {mat.ncols}), "
              "rows = target coinvariant basis")
-    rep.block("matrix", "\n".join(",".join(row) for row in rows) or "(empty)")
+    rep.block("matrix", "\n".join(",".join(row) for row in rows)
+              if mat.nrows and mat.ncols else "(empty)")
     return rep
 
 
@@ -473,21 +492,21 @@ def build_parser() -> argparse.ArgumentParser:
     module_opts(p)
     p.add_argument("--n", required=True, help="degree range A..B")
     p.add_argument("--fit", action="store_true")
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--min-tail", type=_integer, default=3)
 
     p = add("h0", cmd_h0, help="generation-degree scan")
     module_opts(p)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_integer, required=True)
 
     p = add("shift", cmd_shift, help="positive shift presentation")
     module_opts(p)
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_integer, required=True)
     p.add_argument("--emit", help="write the shifted presentation here")
 
     p = add("torsion", cmd_torsion, help="slicewise torsion kernels")
     module_opts(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a-max", type=int, default=3)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--a-max", type=_integer, default=3)
 
     p = add("derivative", cmd_derivative, help="discrete derivative presentation")
     module_opts(p)
@@ -498,63 +517,63 @@ def build_parser() -> argparse.ArgumentParser:
                    help="document with one generator of degree d; relation "
                         "elements are the submodule generators")
     p.add_argument("--ring", help="override the document ring")
-    p.add_argument("--a-max", type=int, default=4)
-    p.add_argument("--slack", type=int, default=3)
+    p.add_argument("--a-max", type=_integer, default=4)
+    p.add_argument("--slack", type=_integer, default=3)
 
     p = add("homology", cmd_homology, help="homology of the slice complex")
     module_opts(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--positions", help="comma list of levels (default all)")
 
     p = add("homotopy-check", cmd_homotopy_check,
             help="verify the contracting homotopy identity")
     module_opts(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=int)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--a", type=_integer)
 
     p = add("colimit", cmd_colimit, help="poset colimit presentation")
     module_opts(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True, help="size cutoff")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--N", type=_integer, required=True, help="size cutoff")
     p.add_argument("--mode", choices=["full", "final-layers"], default="full")
 
     p = add("check-inductive", cmd_check_inductive,
             help="is V_n the colimit over subsets of size <= N?")
     module_opts(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
     p.add_argument("--n", required=True, help="degree range A..B")
 
     p = add("find-N", cmd_find_n, help="largest degree with H0 or H1 nonzero")
     module_opts(p)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_integer, required=True)
 
     p = add("fit", cmd_fit, help="eventually-polynomial fit of a CSV table")
     p.add_argument("--table", required=True)
     p.add_argument("--ring", required=True)
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--min-tail", type=_integer, default=3)
 
     p = add("coinv", cmd_coinv, help="coinvariant dimension table")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.add_argument("--J", required=True, help="comma list, e.g. 1,2")
     p.add_argument("--ring", required=True)
     p.add_argument("--n", required=True, help="degree range A..B")
     p.add_argument("--fit", action="store_true")
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--min-tail", type=_integer, default=3)
 
     p = add("coinv-map", cmd_coinv_map, help="dual coinvariant map matrix")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.add_argument("--J", required=True)
     p.add_argument("--ring", required=True)
     p.add_argument("--images", required=True,
                    help="comma list of injection images")
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=_integer, required=True)
 
     p = add("arnold", cmd_arnold, help="configuration witness table")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--n", required=True, help="degree range A..B")
     p.add_argument("--ring", required=True)
     p.add_argument("--fit", action="store_true")
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--min-tail", type=_integer, default=3)
     p.add_argument("--emit-presentation", nargs="?", const="", default=None,
                    help="emit the witness as a presentation document "
                         "(optionally to a path)")
@@ -562,11 +581,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tail-equal", cmd_tail_equal, help="compare two table tails")
     p.add_argument("--table-a", required=True)
     p.add_argument("--table-b", required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_integer, required=True)
     p.add_argument("--ring", required=True)
 
     p = add("selftest", cmd_selftest, help="run the acceptance property suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
 
     return parser
 

@@ -7,10 +7,18 @@ monomials. S_n permutes the monomials of each multidegree, and the
 invariants of a permutation module have the orbit sums as a basis over
 every ring. So the invariants are read off the orbits, with no linear
 algebra and no averaging, and every characteristic is handled uniformly.
+
+The ideal slice is built on packed monomials: an exponent matrix e is the
+integer sum of e[g][i] * B**(g*n + i) with B = total + 1. No exponent of a
+degree-J monomial reaches B, so codes never carry and a product's code is
+the sum of its factors' codes. Every entry of the ideal matrix is 1, so its
+sparsity pattern does not depend on the ring: it is computed once per
+(multidegree, n) in a small per-process memo and shared by Q and every F_p.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 
 from .injections import Injection
@@ -54,22 +62,27 @@ def monomials(spec: MultiIndex, n: int) -> list[tuple[tuple[int, ...], ...]]:
     return [tuple(choice) for choice in iter_product(*rows_per_group)]
 
 
-def invariant_basis(spec: MultiIndex, n: int, ring: RingSpec):
-    """Basis (column dicts over the monomial list) of the invariant subspace:
-    the orbit sums, sorted by their largest monomial index.
+def _orbits(monos) -> list[list[int]]:
+    """Indices of `monos` grouped into S_n orbits, sorted by their largest
+    index.
 
     Permuting the variables permutes the columns of an exponent matrix, so
     two monomials share an orbit exactly when their columns agree as a
     multiset.
     """
-    if not ring.is_field:
-        raise ValueError("coinvariant computations are field-only")
-    monos = monomials(spec, n)
     orbits: dict = {}
     for k, mono in enumerate(monos):
         orbits.setdefault(tuple(sorted(zip(*mono))), []).append(k)
-    basis = sorted(orbits.values(), key=lambda orbit: orbit[-1])
-    return monos, [{k: ring.one for k in orbit} for orbit in basis]
+    return sorted(orbits.values(), key=lambda orbit: orbit[-1])
+
+
+def invariant_basis(spec: MultiIndex, n: int, ring: RingSpec):
+    """Basis (column dicts over the monomial list) of the invariant subspace:
+    the orbit sums, sorted by their largest monomial index."""
+    if not ring.is_field:
+        raise ValueError("coinvariant computations are field-only")
+    monos = monomials(spec, n)
+    return monos, [{k: ring.one for k in orbit} for orbit in _orbits(monos)]
 
 
 def _positive_subdegrees(J: tuple[int, ...]):
@@ -78,34 +91,49 @@ def _positive_subdegrees(J: tuple[int, ...]):
             yield jp
 
 
-def ideal_matrix(spec: MultiIndex, n: int, ring: RingSpec) -> Matrix:
-    """Columns spanning the degree-J ideal slice inside the monomial span.
+def _codes(spec: MultiIndex, n: int, base: int) -> list[int]:
+    """Packed codes of `monomials(spec, n)`, in the same order: exponent
+    e[g][i] is the digit of base**(g*n + i)."""
+    per_group = [[sum(e * base ** (g * n + i) for i, e in enumerate(row))
+                  for row in compositions(j, n)]
+                 for g, j in enumerate(spec.J)]
+    return [sum(choice) for choice in iter_product(*per_group)]
 
-    For every positive subdegree J', multiply each invariant of degree J'
-    by every monomial of degree J - J'.
+
+@lru_cache(maxsize=32)
+def _ideal_pattern(spec: MultiIndex, n: int):
+    """(rows, columns, (row, col) keys) of the degree-J ideal slice.
+
+    For every positive subdegree J', each orbit of degree J' times each
+    monomial of degree J - J' is one column, ordered by J', then factor,
+    then orbit; products are looked up by packed code.
     """
-    monos = monomials(spec, n)
-    index = {m: k for k, m in enumerate(monos)}
-    cols = []
+    base = spec.total + 1
+    index = {c: k for k, c in enumerate(_codes(spec, n, base))}
+    keys = []
+    ncols = 0
     for jp in _positive_subdegrees(spec.J):
-        sub = MultiIndex(spec.r, tuple(jp))
-        sub_monos, inv = invariant_basis(sub, n, ring)
-        if not inv:
-            continue
-        rest = MultiIndex(spec.r,
-                          tuple(j - p for j, p in zip(spec.J, jp)))
-        for factor in monomials(rest, n):
-            for vec in inv:
-                col = {}
-                for k, coeff in vec.items():
-                    prod = tuple(
-                        tuple(a + b for a, b in zip(row_s, row_f))
-                        for row_s, row_f in zip(sub_monos[k], factor))
-                    col[index[prod]] = coeff
-                cols.append(col)
-    if not cols:
-        return Matrix.zero(ring, len(monos), 0)
-    return Matrix.from_columns(ring, len(monos), cols)
+        sub = MultiIndex(spec.r, jp)
+        sub_codes = _codes(sub, n, base)
+        orbits = [[sub_codes[k] for k in orbit]
+                  for orbit in _orbits(monomials(sub, n))]
+        rest = MultiIndex(spec.r, tuple(j - p for j, p in zip(spec.J, jp)))
+        for factor in _codes(rest, n, base):
+            for orbit in orbits:
+                keys.extend((index[c + factor], ncols) for c in orbit)
+                ncols += 1
+    return len(index), ncols, tuple(keys)
+
+
+def ideal_matrix(spec: MultiIndex, n: int, ring: RingSpec) -> Matrix:
+    """Columns spanning the degree-J ideal slice inside the monomial span:
+    every invariant of a positive degree J' times every monomial of degree
+    J - J'. Every entry is 1, so the pattern is shared by all rings; an
+    orbit times a monomial has distinct products, so no entry merges."""
+    if not ring.is_field:
+        raise ValueError("coinvariant computations are field-only")
+    nrows, ncols, keys = _ideal_pattern(spec, n)
+    return Matrix.canonical(ring, nrows, ncols, dict.fromkeys(keys, ring.one))
 
 
 @dataclass

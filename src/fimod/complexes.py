@@ -171,12 +171,13 @@ class HomologyResult:
 class _FreeSlices:
     """A slice source read in the free coordinates of its slices: slice m
     is the relation-free R^{r_m}, and f acts by
-    coords_target @ M_f @ section_source."""
+    coords_target @ M_f @ section_source, lifted once per f."""
 
     def __init__(self, src):
         self.ring = src.ring
         self._src = src
         self._slices: dict[int, PresentedModule] = {}
+        self._lifts: dict[Injection, Matrix] = {}
 
     def slice_module(self, m: int) -> PresentedModule:
         if m not in self._slices:
@@ -185,12 +186,15 @@ class _FreeSlices:
         return self._slices[m]
 
     def induced_matrix(self, f: Injection) -> Matrix:
-        coords = self._src.slice_module(f.target).free_coordinates()[0]
-        section = self._src.slice_module(f.source).free_coordinates()[1]
-        return coords @ self._src.induced_matrix(f) @ section
+        if f not in self._lifts:
+            coords = self._src.slice_module(f.target).free_coordinates()[0]
+            section = self._src.slice_module(f.source).free_coordinates()[1]
+            self._lifts[f] = coords @ self._src.induced_matrix(f) @ section
+        return self._lifts[f]
 
 
-def complex_homology(src, n: int, positions=None) -> HomologyResult:
+def complex_homology(src, n: int, positions=None,
+                     _free: _FreeSlices | None = None) -> HomologyResult:
     """Homology of the degree-n slice of the signed complex.
 
     Every ring takes the route of the module docstring: with L_a the
@@ -199,7 +203,8 @@ def complex_homology(src, n: int, positions=None) -> HomologyResult:
     coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a has the torsion of
     coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}. Over Z the
     slices must be torsion-free. Only the levels a-1..a+1 of the requested
-    positions are built.
+    positions are built. `_free` is the lifted source to reuse, one per
+    `find_N` call.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -216,7 +221,7 @@ def complex_homology(src, n: int, positions=None) -> HomologyResult:
                     f"slice at degree {m} has torsion over Z; integer "
                     "homology supports free slices only - run field-wise "
                     "(Q and a prime list) instead")
-    free = _FreeSlices(src)
+    free = _FreeSlices(src) if _free is None else _free
     levels = {b for a in positions for b in (a - 1, a, a + 1) if 0 <= b <= n}
     terms = {b: signed_shift_slice(free, b, n) for b in levels}
     cokers: dict[int, Invariants] = {}   # b -> coker L_b, with L_{n+1} = 0
@@ -395,8 +400,10 @@ def find_N(src, n_max: int) -> FindNReport:
         raise ValueError("n_max must be >= 0")
     bad_h0 = []
     bad_h1 = []
+    free = _FreeSlices(src)
     for n in range(0, n_max + 1):
-        res = complex_homology(src, n, positions=[a for a in (0, 1) if a <= n])
+        res = complex_homology(src, n, [a for a in (0, 1) if a <= n],
+                               _free=free)
         if not res.positions[0].is_zero:
             bad_h0.append(n)
         if 1 in res.positions and not res.positions[1].is_zero:

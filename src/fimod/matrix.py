@@ -11,8 +11,9 @@ matrices build their results with it: `transpose`, `+`, unary `-`, `@`,
 `hstack`, `vstack` and `block_diagonal`, as do the builders whose terms
 provably never meet at one entry: slice assembly and induced maps in
 `presentations`, the witness's slice relations and induced maps in
-`arnold`, and block placement in `complexes` (differentials, the homotopy,
-X_1, ordered shift maps and poset colimit relations).
+`arnold`, the ideal slices in `coinvariants`, and block placement in
+`complexes` (differentials, the homotopy, X_1, ordered shift maps and
+poset colimit relations).
 
 Every sparse elimination runs through one `SparseEliminator`: rank over
 F_p, fraction-free rank over Q and Z, unit-pivot stripping before a Smith

@@ -384,3 +384,42 @@ def test_eval_fit_on_integer_table(tmp_path, capsys):
                         "--n", "0..6", "--fit")
     assert code == 0
     assert "free-rank column" in out and "1*C(n,1)" in out
+
+
+def test_coinv_map_empty_matrix_block(capsys):
+    code, out = run_cli(capsys, "coinv-map", "--r", "1", "--J", "2",
+                        "--ring", "F2", "--images", "2,1", "--target", "3")
+    assert code == 0
+    assert "dual map matrix (2 x 0)" in out
+    assert "\nmatrix:\n(empty)\nstatus: pass\n" in out
+
+
+COINV = ["coinv", "--r", "1", "--J", "2", "--ring", "Q", "--n", "1..3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coinv", "--r", "1", "--J", "1_0", "--ring", "Q", "--n", "1..3"],
+    ["coinv", "--r", "1", "--J", "٢", "--ring", "Q", "--n", "1..3"],
+    ["coinv", "--r", "2", "--J", "1, 1", "--ring", "Q", "--n", "1..3"],
+    COINV[:-1] + [" 1..3"],
+    COINV[:-1] + ["1..3\n"],
+    COINV[:-1] + ["1_1"],
+    ["coinv", "--r", "+1"] + COINV[3:],
+    ["coinv", "--r", " 1"] + COINV[3:],
+    COINV + ["--fit", "--min-tail", "0_3"],
+    ["coinv-map", "--r", "1", "--J", "1", "--ring", "Q",
+     "--images", "1, 2", "--target", "3"],
+    ["coinv-map", "--r", "1", "--J", "1", "--ring", "Q",
+     "--images", "1,2", "--target", "3 "],
+    ["homology", "--module", "{m2}", "--n", "2", "--positions", "0, 1"],
+    ["homology", "--module", "{m2}", "--n", "٢"],
+    ["check-inductive", "--module", "{m2}", "--N", "2_0", "--n", "2..3"],
+    ["find-N", "--module", "{m2}", "--n-max", "+2"],
+])
+def test_strict_integer_exit_code(m2_file, capsys, argv):
+    assert main([a.replace("{m2}", m2_file) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fimod: error: ")
+    assert "int value" in captured.err or "bad degree range" in captured.err
+    assert captured.err.count("\n") == 1

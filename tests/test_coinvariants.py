@@ -6,10 +6,12 @@ import pytest
 
 from fimod.coinvariants import (MultiIndex, _positive_subdegrees,
                                 coinvariant_dim, coinvariant_dual_map,
-                                coinvariant_table, invariant_basis, monomials)
+                                coinvariant_table, ideal_matrix,
+                                invariant_basis, monomials)
 from fimod.injections import Injection, identity_injection
 from fimod.matrix import Matrix, field_kernel_basis, vstack
 from fimod.rings import GF, QQ, ZZ
+from tests.test_matrix import assert_canonical
 
 
 def test_monomial_counts():
@@ -117,6 +119,76 @@ def test_sym_generators_degenerate():
     assert sym_generators(0) == []
     assert sym_generators(1) == []
     assert sym_generators(2) == [(2, 1), (2, 1)]
+
+
+# -- the tuple-product builder ideal_matrix replaced, kept as a reference:
+# every product monomial built as a tuple of tuples, looked up in a
+# monomial index, and every entry coerced through Matrix.from_columns.
+
+def ideal_matrix_reference(spec, n, ring):
+    monos = monomials(spec, n)
+    index = {m: k for k, m in enumerate(monos)}
+    cols = []
+    for jp in _positive_subdegrees(spec.J):
+        sub = MultiIndex(spec.r, tuple(jp))
+        sub_monos, inv = invariant_basis(sub, n, ring)
+        if not inv:
+            continue
+        rest = MultiIndex(spec.r,
+                          tuple(j - p for j, p in zip(spec.J, jp)))
+        for factor in monomials(rest, n):
+            for vec in inv:
+                col = {}
+                for k, coeff in vec.items():
+                    prod = tuple(
+                        tuple(a + b for a, b in zip(row_s, row_f))
+                        for row_s, row_f in zip(sub_monos[k], factor))
+                    col[index[prod]] = coeff
+                cols.append(col)
+    if not cols:
+        return Matrix.zero(ring, len(monos), 0)
+    return Matrix.from_columns(ring, len(monos), cols)
+
+
+def _ideal_cases():
+    specs = [MultiIndex(1, (j,)) for j in range(5)]
+    specs += [MultiIndex(2, J) for J in product(range(3), repeat=2)]
+    specs += [MultiIndex(2, (3, 1)), MultiIndex(2, (1, 3))]
+    specs += [MultiIndex(3, J) for J in product(range(2), repeat=3)]
+    specs += [MultiIndex(3, (2, 0, 1)), MultiIndex(3, (0, 0, 2))]
+    for spec in specs:
+        for n in range(7):
+            yield spec, n
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)])
+def test_ideal_matrix_matches_reference(ring):
+    for spec, n in _ideal_cases():
+        got = ideal_matrix(spec, n, ring)
+        want = ideal_matrix_reference(spec, n, ring)
+        assert got == want, (spec, n, ring.name)
+        assert got.entries == want.entries, (spec, n, ring.name)
+        assert list(got.entries) == list(want.entries), (spec, n, ring.name)
+        assert_canonical(got)
+
+
+def test_ideal_matrix_results_are_independent():
+    spec = MultiIndex(2, (2, 1))
+    first = ideal_matrix(spec, 4, QQ)
+    first.entries.clear()
+    assert ideal_matrix(spec, 4, QQ) == ideal_matrix_reference(spec, 4, QQ)
+    again = ideal_matrix(spec, 4, QQ)
+    again.entries[(0, 0)] = QQ.one + QQ.one
+    assert ideal_matrix(spec, 4, QQ) == ideal_matrix_reference(spec, 4, QQ)
+    over_q = ideal_matrix(spec, 4, QQ)
+    over_f3 = ideal_matrix(spec, 4, GF(3))
+    assert over_q.entries is not over_f3.entries
+    assert over_f3 == ideal_matrix_reference(spec, 4, GF(3))
+
+
+def test_ideal_matrix_refuses_z():
+    with pytest.raises(ValueError):
+        ideal_matrix(MultiIndex(1, (1,)), 2, ZZ)
 
 
 # -- independent oracle: invariants are spanned by monomial orbit sums under

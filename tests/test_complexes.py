@@ -492,6 +492,34 @@ def test_find_N_examples():
     assert rep.nonzero_h0 == [0] and rep.nonzero_h1 == [1]
 
 
+
+class CountingSource:
+    """A slice source that records every injection it is asked to push
+    along."""
+
+    def __init__(self, src):
+        self.ring = src.ring
+        self._src = src
+        self.pushed = []
+
+    def slice_module(self, m):
+        return self._src.slice_module(m)
+
+    def induced_matrix(self, f):
+        self.pushed.append(f)
+        return self._src.induced_matrix(f)
+
+
+@pytest.mark.parametrize("src", [
+    free_presentation(QQ, 2), free_presentation(ZZ, 1),
+    torsion_module(GF(3)),
+    *(instantiate(s, GF(2)) for s in seeded_structures(1, 3))])
+def test_find_N_lifts_each_injection_once(src):
+    counting = CountingSource(src)
+    assert find_N(counting, 5) == find_N(src, 5)
+    assert counting.pushed
+    assert len(counting.pushed) == len(set(counting.pushed))
+
 def test_ordered_shift_free_iso_naturality():
     rng = random.Random(23)
     for d in (0, 1, 2):
