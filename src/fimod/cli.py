@@ -147,10 +147,24 @@ def _require_degree(n: int):
 
 
 def _default_primes() -> list[int]:
+    """FIMOD_PRIMES: distinct primes in ASCII digits, comma separated, with
+    nothing else; 2,3,5,7 when unset or empty."""
     env = os.environ.get("FIMOD_PRIMES")
-    if env:
-        return [int(p.strip()) for p in env.split(",") if p.strip()]
-    return [2, 3, 5, 7]
+    if not env:
+        return [2, 3, 5, 7]
+    primes: list[int] = []
+    for text in env.split(","):
+        if not re.fullmatch(r"[0-9]+", text):
+            raise UsageError(f"FIMOD_PRIMES: invalid entry {text!r}")
+        p = int(text)
+        if p in primes:
+            raise UsageError(f"FIMOD_PRIMES: duplicate prime {p}")
+        try:
+            GF(p)
+        except ValueError as e:
+            raise UsageError(f"FIMOD_PRIMES: {e}") from None
+        primes.append(p)
+    return primes
 
 
 def _write(path: str, text: str):

@@ -184,11 +184,10 @@ def x_map_decomposed(p: FIPresentation, a: int, n: int,
     identification of the shifted slice with V_{n+a}."""
     dec = dec if dec is not None else shift_decomposition(p, a)
     ident = shift_identification(dec, n)
-    # ident is a basis bijection; invert it by transposing the permutation
-    inv = Matrix(p.ring, ident.matrix.ncols, ident.matrix.nrows,
-                 {(j, i): v for (i, j), v in ident.matrix.entries.items()})
     xm = x_map(p, a, n)
-    return ModuleMap(xm.source, ident.source, inv @ xm.matrix)
+    # ident is a basis bijection, so its transpose is its inverse
+    return ModuleMap(xm.source, ident.source,
+                     ident.matrix.transpose() @ xm.matrix)
 
 
 def pi_projection(d: int, a: int, n: int, ring: RingSpec,

@@ -1,11 +1,12 @@
 """Smith normal form, integer kernels and lattice normal forms.
 
-The diagonal-only path strips unit pivots sparsely first and runs the dense
-min-|pivot| algorithm on the small residue. One Hermite loop serves every
-lattice question: canonical lattice bases, and through the graph lattice
-{(a x, x)} integer kernels, exact solving and unimodular inverses. The
-transform-carrying SNF is dense and computed only for
-smith_form(transforms=True).
+One Hermite loop serves every dense integer elimination here. The Smith form
+alternates column and row Hermite forms until the matrix is diagonal; the
+diagonal-only path strips unit pivots sparsely first and runs that loop on
+the small residue, and smith_form(transforms=True) runs it on the whole
+matrix with its transforms. The same loop gives canonical lattice bases,
+and through the graph lattice {(a x, x)} integer kernels, exact solving and
+unimodular inverses.
 """
 from __future__ import annotations
 
@@ -26,10 +27,6 @@ class SmithForm:
     factors: tuple[int, ...]
     left: Matrix | None = None
     right: Matrix | None = None
-
-    def diagonal_matrix(self, nrows: int, ncols: int) -> Matrix:
-        ent = {(i, i): d for i, d in enumerate(self.factors)}
-        return Matrix(ZZ, nrows, ncols, ent)
 
 
 def _check_integer(m: Matrix):
@@ -78,136 +75,76 @@ def _strip_unit_pivots(m: Matrix) -> tuple[int, list[dict[int, int]]]:
 
 
 def _snf_diagonal_dense(sparse_rows: list[dict[int, int]]) -> list[int]:
-    """Dense SNF diagonal of the residue left by unit-pivot stripping."""
+    """Smith diagonal of the residue left by unit-pivot stripping, on its
+    nonzero columns."""
     cols = sorted({c for row in sparse_rows for c in row})
     cpos = {c: k for k, c in enumerate(cols)}
     a = [[0] * len(cols) for _ in sparse_rows]
     for i, row in enumerate(sparse_rows):
         for c, v in row.items():
             a[i][cpos[c]] = v
-    return _snf_core(a, len(sparse_rows), len(cols), None, None)
+    return _smith(a)
 
 
 def _snf_dense_with_transforms(m: Matrix) -> SmithForm:
     nr, nc = m.nrows, m.ncols
-    a = [[int(v) for v in row] for row in m.to_dense_rows()]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-    factors = _snf_core(a, nr, nc, u, v)
-    left = Matrix.from_rows(ZZ, u) if nr else Matrix.zero(ZZ, 0, 0)
-    right = Matrix.from_rows(ZZ, v) if nc else Matrix.zero(ZZ, 0, 0)
-    return SmithForm(tuple(factors), left, right)
+    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    factors = _smith([[int(v) for v in row] for row in m.to_dense_rows()],
+                     u, vt)
+    return SmithForm(tuple(factors), Matrix.from_rows(ZZ, u),
+                     Matrix.from_rows(ZZ, vt).transpose())
 
 
-def _snf_core(a: list[list[int]], nr: int, nc: int,
-              u: list[list[int]] | None, v: list[list[int]] | None) -> list[int]:
-    """In-place SNF elimination with min-|value| pivoting.
+def _smith(a: list[list[int]], u: list[list[int]] | None = None,
+           vt: list[list[int]] | None = None) -> list[int]:
+    """Invariant factors of the dense integer matrix a (Kannan and Bachem).
 
-    Row operations are mirrored on u, column operations on v, so
-    u @ A_original @ v = diag(result) when both are supplied.
+    Each round is a column pass, the reduced _hermite of the rows of
+    [a^T | vt] on their a^T part, then a row pass, the same on [a | u].
+    Once a is diagonal and some d_i does not divide d_{i+1}, row i+1 is
+    added to row i in a and u, and the rounds go on. So u @ A @ vt^T stays
+    a, and ends diag(factors), when u and vt start as identities.
+
+    It stops: after a column pass the leading entry a[0][0] is the gcd of
+    row 0 and the rest of that row is 0; the row pass replaces it by the
+    gcd of column 0. If that leading entry stays the same, it divides its
+    column, which the pass clears without touching row 0, so row and
+    column 0 stay cleared from then on; otherwise it strictly decreases.
+    The same holds for each following leading entry once those before it
+    are fixed, and a divisibility fix strictly lowers d_i to
+    gcd(d_i, d_{i+1}) with d_1..d_{i-1} kept. The column pass comes first:
+    a row pass right after the fix would subtract row i's new entry away
+    again.
     """
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row dst -= q * row src
-        ad, asrc = a[dst], a[src]
-        for k in range(nc):
-            if asrc[k]:
-                ad[k] -= q * asrc[k]
-        if u is not None:
-            ud, usrc = u[dst], u[src]
-            for k in range(nr):
-                if usrc[k]:
-                    ud[k] -= q * usrc[k]
-
-    def add_col(dst, src, q):
-        # col dst -= q * col src
-        for row in a:
-            if row[src]:
-                row[dst] -= q * row[src]
-        if v is not None:
-            for row in v:
-                if row[src]:
-                    row[dst] -= q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    factors: list[int] = []
-    t = 0
+    if not a or not a[0]:
+        return []
     while True:
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x:
-                    ax = abs(x)
-                    if best is None or ax < best:
-                        best, piv = ax, (i, j)
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, nr)):
-                break
-        if a[t][t] < 0:
-            negate_row(t)
-        # pivot must divide the rest of the submatrix for the chain to hold
-        p = a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, -1)  # row t += row offender
+        a = _hermite_transposed(_hermite_transposed(a, vt), u)
+        if any(x for i, row in enumerate(a)
+               for j, x in enumerate(row) if i != j):
             continue
-        factors.append(p)
-        t += 1
-        if t == nr or t == nc:
-            break
-    return factors
+        d = [a[i][i] for i in range(min(len(a), len(a[0]))) if a[i][i]]
+        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
+        if i is None:
+            return d
+        a[i][i + 1] = d[i + 1]
+        if u is not None:
+            u[i] = [x + y for x, y in zip(u[i], u[i + 1])]
+
+
+def _hermite_transposed(x: list[list[int]],
+                        t: list[list[int]] | None) -> list[list[int]]:
+    """Reduced _hermite of the rows of [x^T | t] on the x^T part: returns
+    that part, and t in place takes the rest (t has one row per column
+    of x)."""
+    k = len(x)
+    rows = [list(col) for col in zip(*x)]
+    if t is None:
+        return _hermite(rows, k)[0]
+    rows, _ = _hermite([row + tr for row, tr in zip(rows, t)], k)
+    t[:] = [row[k:] for row in rows]
+    return [row[:k] for row in rows]
 
 
 # ---------------------------------------------------------------------------

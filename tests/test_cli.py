@@ -423,3 +423,37 @@ def test_strict_integer_exit_code(m2_file, capsys, argv):
     assert captured.err.startswith("fimod: error: ")
     assert "int value" in captured.err or "bad degree range" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def torsion_file(tmp_path):
+    """A one-generator Z module with the degree-0 relation 2x, so homology
+    reports the field-wise table over FIMOD_PRIMES."""
+    path = tmp_path / "tors.fim"
+    path.write_text(FIPresentation(
+        ZZ, [0], [FreeElement(0, {(0, Injection(0, 0, ())): 2})]).dumps())
+    return str(path)
+
+
+def test_fimod_primes_lists_fields(torsion_file, monkeypatch, capsys):
+    monkeypatch.setenv("FIMOD_PRIMES", "2,11")
+    code, out = run_cli(capsys, "homology", "--module", torsion_file,
+                        "--n", "1")
+    assert code == 0
+    assert '"primes": "2,11"' in out
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("over ")] == ["over Q", "over F2", "over F11"]
+
+
+@pytest.mark.parametrize("primes", [
+    "1_1", " 3 ,٣", "٣", "2,2", "3,03", "2,,3", "2,", ",", "+3", "4", "1",
+    "0", "2147483659",
+])
+def test_fimod_primes_grammar_exit_code(torsion_file, monkeypatch, capsys,
+                                        primes):
+    monkeypatch.setenv("FIMOD_PRIMES", primes)
+    assert main(["homology", "--module", torsion_file, "--n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fimod: error: FIMOD_PRIMES: ")
+    assert captured.err.count("\n") == 1

@@ -12,7 +12,7 @@ from fimod.matrix import (FieldReducer, Matrix, PivotPolicy,
                           SparseEliminator, block_diagonal, field_in_span,
                           field_kernel_basis, field_rref, hstack, vstack)
 from fimod.rings import GF, QQ, ZZ
-from fimod.smith import _snf_core, invariant_factors
+from fimod.smith import invariant_factors
 
 
 def dense_rref_reference(rows, p=0):
@@ -153,9 +153,120 @@ def test_field_reducer_reduces_onto_free_coordinates(ring):
 # ---------------------------------------------------------------------------
 # differential tests of the sparse eliminator against dense references
 
+def _snf_core(a: list[list[int]], nr: int, nc: int,
+              u: list[list[int]] | None, v: list[list[int]] | None) -> list[int]:
+    """In-place SNF elimination with min-|value| pivoting.
+
+    Row operations are mirrored on u, column operations on v, so
+    u @ A_original @ v = diag(result) when both are supplied.
+    """
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        # row dst -= q * row src
+        ad, asrc = a[dst], a[src]
+        for k in range(nc):
+            if asrc[k]:
+                ad[k] -= q * asrc[k]
+        if u is not None:
+            ud, usrc = u[dst], u[src]
+            for k in range(nr):
+                if usrc[k]:
+                    ud[k] -= q * usrc[k]
+
+    def add_col(dst, src, q):
+        # col dst -= q * col src
+        for row in a:
+            if row[src]:
+                row[dst] -= q * row[src]
+        if v is not None:
+            for row in v:
+                if row[src]:
+                    row[dst] -= q * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+
+    factors: list[int] = []
+    t = 0
+    while True:
+        piv = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = a[i][j]
+                if x:
+                    ax = abs(x)
+                    if best is None or ax < best:
+                        best, piv = ax, (i, j)
+                        if ax == 1:
+                            break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # clear row t
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty and all(a[i][t] == 0 for i in range(t + 1, nr)):
+                break
+        if a[t][t] < 0:
+            negate_row(t)
+        # pivot must divide the rest of the submatrix for the chain to hold
+        p = a[t][t]
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if a[i][j] % p:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(t, offender, -1)  # row t += row offender
+            continue
+        factors.append(p)
+        t += 1
+        if t == nr or t == nc:
+            break
+    return factors
+
+
 def dense_snf_reference(rows):
-    """Invariant factors from the dense SNF core on the whole matrix, with
-    no sparse unit stripping in front of it."""
+    """Invariant factors from the dense min-|pivot| SNF core on the whole
+    matrix, with no sparse unit stripping in front of it."""
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     return _snf_core([list(row) for row in rows], nr, nc, None, None)

@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimod.matrix import Matrix, apply_columns
-from fimod.rings import QQ, ZZ
+from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, seeded_structures
 from fimod.smith import (IntegerSolver, SmithForm, integer_inverse,
                          integer_in_span, integer_kernel_basis,
                          invariant_factors, lattice_canonical, smith_form)
-from tests.test_matrix import (DIFFERENTIAL_INPUTS, dense_snf_reference,
-                               random_sparse_rows, sparse_matrix)
+from tests.test_matrix import (DIFFERENTIAL_INPUTS, dense_rank_reference_mod_p,
+                               dense_snf_reference, random_sparse_rows,
+                               sparse_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,25 @@ def seeded_integer_matrices(seed):
     return out
 
 
+def diagonal(factors, nrows, ncols):
+    """The nrows x ncols integer matrix with the factors on its diagonal."""
+    return Matrix(ZZ, nrows, ncols, {(i, i): d for i, d in enumerate(factors)})
+
+
+def assert_smith_transforms(m):
+    """smith_form(m, transforms=True): left @ m @ right is the diagonal of
+    the factors, both transforms are unimodular, the factors form a
+    divisibility chain and equal invariant_factors(m)."""
+    sf = smith_form(m, transforms=True)
+    assert sf.left @ m @ sf.right == diagonal(sf.factors, m.nrows, m.ncols)
+    for a, b in zip(sf.factors, sf.factors[1:]):
+        assert b % a == 0 and a > 0
+    for t in (sf.left, sf.right):
+        assert t @ integer_inverse(t) == Matrix.identity(ZZ, t.nrows)
+    assert invariant_factors(m) == list(sf.factors)
+    return sf
+
+
 def canonical_of_columns(nrows, cols):
     return lattice_canonical(Matrix.from_columns(ZZ, nrows, cols)
                              if cols else Matrix.zero(ZZ, nrows, 0))
@@ -142,23 +164,27 @@ def test_smith_form_requires_integers():
         smith_form(Matrix.identity(QQ, 2))
 
 
+@pytest.mark.parametrize("rows, factors", [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[2, 0, 0], [0, 3, 0]], (1, 6)),
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+    ([[0, 0], [0, 5]], (5,)),
+])
+def test_smith_divisibility_fix(rows, factors):
+    # diagonal inputs whose entries are out of place or not a divisibility
+    # chain: the loop adds row i+1 to row i and must still stop, with the
+    # transforms kept exact
+    m = Matrix.from_rows(ZZ, rows)
+    assert assert_smith_transforms(m).factors == factors
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_smith_transform_identity_randomized(seed):
     rng = random.Random(seed)
     for _ in range(6):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-8, 8) for _ in range(nc)] for _ in range(nr)]
-        m = Matrix.from_rows(ZZ, rows)
-        sf = smith_form(m, transforms=True)
-        assert sf.left @ m @ sf.right == sf.diagonal_matrix(nr, nc)
-        for a, b in zip(sf.factors, sf.factors[1:]):
-            assert b % a == 0 and a > 0
-        # transforms are unimodular
-        for t in (sf.left, sf.right):
-            inv = integer_inverse(t)
-            assert t @ inv == Matrix.identity(ZZ, t.nrows)
-        # diagonal-only path agrees
-        assert invariant_factors(m) == list(sf.factors)
+        assert_smith_transforms(Matrix.from_rows(ZZ, rows))
 
 
 def test_integer_kernel_basis():
@@ -218,15 +244,47 @@ def test_lattice_canonical_unimodular_invariance(seed):
 
 def test_smith_form_dataclass():
     sf = SmithForm((1, 2, 6))
-    d = sf.diagonal_matrix(3, 5)
+    d = diagonal(sf.factors, 3, 5)
     assert d.get(2, 2) == 6 and d.get(0, 3) == 0
 
 
-# Left to the rank and rref differential tests: the 1330 x 735 Arnold m=3,
-# n=7 matrix, because the dense SNF reference is cubic in its size, and
-# random-5, because the dense SNF core (the reference and the residue step
-# of invariant_factors alike) grows its entries to a million bits on it and
-# does not finish.
+integer_matrices = st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]).map(
+            lambda rows: Matrix(ZZ, shape[0], shape[1], {
+                (i, j): v for i, row in enumerate(rows)
+                for j, v in enumerate(row) if v})))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_matrices)
+def test_smith_transforms_hypothesis(m):
+    assert_smith_transforms(m)
+
+
+# random-5 (60 x 45): the dense min-|pivot| reference grows its entries to
+# about a million bits on it and does not finish, so its factors are pinned
+# from sympy's smith_normal_form instead, with its ranks mod p. The largest
+# Hermite entry of the Smith loop on it is 12 bits.
+RANDOM_5_FACTORS = [1] * 36 + [2, 2, 6, 6, 30]
+RANDOM_5_RANKS = {2: 36, 3: 38, 5: 40, 7: 41, 11: 41}
+
+
+def test_invariant_factors_random_5():
+    rows = DIFFERENTIAL_INPUTS["random-5"]
+    m = sparse_matrix(ZZ, rows)
+    assert invariant_factors(m) == RANDOM_5_FACTORS
+    assert list(assert_smith_transforms(m).factors) == RANDOM_5_FACTORS
+    for p, rank in RANDOM_5_RANKS.items():
+        assert sparse_matrix(GF(p), rows).rank() == rank
+        assert dense_rank_reference_mod_p(rows, p) == rank
+        assert sum(d % p != 0 for d in RANDOM_5_FACTORS) == rank
+
+
+# Left out here, and covered by the rank and rref differential tests: the
+# 1330 x 735 Arnold m=3, n=7 matrix, because the dense SNF reference is
+# cubic in its size, and random-5, pinned above.
 SNF_LABELS = sorted(label for label in DIFFERENTIAL_INPUTS
                     if label not in ("arnold-m3-n7", "random-5"))
 
