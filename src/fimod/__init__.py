@@ -13,16 +13,16 @@ from .injections import Injection, enumerate_injections
 from .matrix import Matrix
 from .modules import (Invariants, ModuleMap, PresentedModule,
                       cokernel_invariants, is_isomorphism)
-from .presentations import (FIPresentation, FreeElement, SliceMap,
-                            SliceModule, evaluate_slice, free_presentation,
-                            induced_map, pushforward)
+from .presentations import (FIPresentation, FreeElement, SliceModule,
+                            evaluate_slice, free_presentation, induced_map,
+                            pushforward)
 from .rings import GF, QQ, ZZ, PrimeField, RingSpec
 from .smith import SmithForm, invariant_factors, smith_form
 
 __all__ = [
     "FIPresentation", "FreeElement", "GF", "Injection", "Invariants",
     "Matrix", "ModuleMap", "PresentedModule", "PrimeField", "QQ", "RingSpec",
-    "SliceMap", "SliceModule", "SmithForm", "ZZ", "cokernel_invariants",
+    "SliceModule", "SmithForm", "ZZ", "cokernel_invariants",
     "enumerate_injections", "evaluate_slice", "free_presentation",
     "induced_map", "invariant_factors", "is_isomorphism", "pushforward",
     "smith_form",

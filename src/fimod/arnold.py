@@ -77,7 +77,7 @@ class ArnoldModule:
         self.ring = ring
         self._slices: dict[int, PresentedModule] = {}
         self._bases: dict[int, dict] = {}
-        self._signs = {1: ring.one, -1: ring.neg(ring.one)}
+        self._signs = {1: ring.one, -1: ring.coerce(-1)}
 
     def slice_basis(self, n: int) -> list[tuple[tuple[int, int], ...]]:
         return edge_sets(self.m, n)

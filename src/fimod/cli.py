@@ -425,7 +425,7 @@ def cmd_coinv_map(args) -> Report:
     rep = Report("coinv-map", {"r": args.r, "J": args.J, "ring": ring.name,
                                "images": args.images, "target": args.target})
     mat = coinvariant_dual_map(spec, f, ring)
-    rows = [[ring.to_str(mat.get(i, j)) for j in range(mat.ncols)]
+    rows = [[str(mat.get(i, j)) for j in range(mat.ncols)]
             for i in range(mat.nrows)]
     rep.note(f"dual map matrix ({mat.nrows} x {mat.ncols}), "
              "rows = target coinvariant basis")

@@ -98,10 +98,13 @@ def _place_blocks(ring, nrows: int, ncols: int, placements) -> Matrix:
     """The nrows x ncols matrix assembled from placements (row offset,
     column offset, block, negate) of canonical blocks that do not overlap,
     so every entry is written once and never merged."""
+    p = ring.p
     ent = {}
     for roff, coff, block, negate in placements:
         for (r, c), v in block.entries.items():
-            ent[(roff + r, coff + c)] = ring.neg(v) if negate else v
+            if negate:
+                v = p - v if p else -v
+            ent[(roff + r, coff + c)] = v
     return Matrix.canonical(ring, nrows, ncols, ent)
 
 
@@ -335,6 +338,8 @@ def poset_colimit(src, n: int, cutoff: int, mode: str = "full") -> PosetColimit:
     -f_* sit in the rows of different objects, so no entry merges. The
     canonical map puts the inclusion S -> [n] on each object's columns.
     """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     ring = src.ring

@@ -54,9 +54,6 @@ class IntegerValuedPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-ZERO_POLYNOMIAL = IntegerValuedPolynomial(())
-
-
 def _binom_int(m: int, k: int) -> int:
     """C(m, k) for any integer m and k >= 0 (integer-valued)."""
     if k < 0:

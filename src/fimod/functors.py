@@ -175,7 +175,7 @@ def x_map(p: FIPresentation, a: int, n: int) -> ModuleMap:
     """The canonical map V_n -> V_{n+a} induced by the standard inclusion."""
     if a < 0:
         raise ValueError("shift amount must be >= 0")
-    return p.induced_map(standard_inclusion(n, n + a)).map
+    return p.induced_map(standard_inclusion(n, n + a))
 
 
 def x_map_decomposed(p: FIPresentation, a: int, n: int,
@@ -366,12 +366,12 @@ def saturate(d: int, generators: list[FreeElement], a_max: int,
         for w in generators:
             for f in enumerate_injections(w.degree, d + a):
                 pushed = w.pushforward(f)
+                # f_* is injective on terms, so no two land at one key
                 col = {}
                 for (gen, u), c in pushed.terms.items():
-                    if all(v <= d for v in u.images):
-                        k = ambient.index[(gen, u.images)]
-                        col[k] = ring.add(col.get(k, ring.zero), ring.coerce(c))
-                col = {k: v for k, v in col.items() if not ring.is_zero(v)}
+                    c = ring.coerce(c)
+                    if c and all(v <= d for v in u.images):
+                        col[ambient.index[(gen, u.images)]] = c
                 if col:
                     cols.append(col)
         sub = SubmoduleOfQuotient(ambient.module, cols)

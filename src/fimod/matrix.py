@@ -2,17 +2,20 @@
 
 Storage is a dict mapping (row, col) to a nonzero scalar of the matrix's
 ring, in the ring's canonical form (a Fraction over Q, an int in [0, p)
-over F_p, an int over Z), with every key inside the shape. `Matrix()`,
-`from_rows` and `from_columns` coerce every value they are given, drop the
-zeros and check the bounds, so raw values may go in. `Matrix.canonical`
-does none of that: it wraps entries that already hold the invariant. The
-operations that only move, negate or combine the entries of canonical
-matrices build their results with it: `transpose`, `+`, unary `-`, `@`,
-`hstack`, `vstack` and `block_diagonal`, as do the builders whose terms
-provably never meet at one entry: slice assembly and induced maps in
-`presentations`, the witness's slice relations and induced maps in
-`arnold`, the ideal slices in `coinvariants`, and block placement in
-`complexes` (differentials, the homotopy, X_1, ordered shift maps and
+over F_p, an int over Z), with every key inside the shape. Scalars combine
+with Python arithmetic and the ring's one modulus `p`: every operation
+computes `s = x + a * b`, reduces `s %= p` when `p` is nonzero (F_p), and
+keeps `s` only if it is nonzero, which leaves the result canonical.
+`Matrix()`, `from_rows` and `from_columns` coerce every value they are
+given, drop the zeros and check the bounds, so raw values may go in.
+`Matrix.canonical` does none of that: it wraps entries that already hold
+the invariant. The operations that only move, negate or combine the entries
+of canonical matrices build their results with it: `transpose`, `+`, unary
+`-`, `scale`, `@`, `hstack`, `vstack` and `block_diagonal`, as do the
+builders whose terms provably never meet at one entry: slice assembly and
+induced maps in `presentations`, the witness's slice relations and induced
+maps in `arnold`, the ideal slices in `coinvariants`, and block placement
+in `complexes` (differentials, the homotopy, X_1, ordered shift maps and
 poset colimit relations).
 
 Every sparse elimination runs through one `SparseEliminator`: rank over
@@ -44,8 +47,8 @@ pivot costs heap pops instead of a scan over every row. A small
 
 Ranks, invariant factors and reduced echelon forms do not depend on the
 pivot order, so results do not depend on how the heap breaks ties.
-Field kernels and `FieldReducer` read the rref rows in the ring's own
-arithmetic (Fraction over Q, mod p over F_p); span membership is two ranks.
+Field kernels and `FieldReducer` read the rref rows in the same arithmetic
+(Fraction over Q, mod p over F_p); span membership is two ranks.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rings import PrimeField, RationalField, RingSpec
+from .rings import RationalField, RingSpec
 
 
 class Matrix:
@@ -73,7 +76,7 @@ class Matrix:
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 v = ring.coerce(v)
-                if not ring.is_zero(v):
+                if v:
                     ent[(i, j)] = v
         self.entries = ent
 
@@ -168,20 +171,23 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        r = self.ring
+        p = self.ring.p
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            s = r.add(ent.get(k, r.zero), v)
-            if r.is_zero(s):
-                ent.pop(k, None)
-            else:
+            s = ent.get(k, 0) + v
+            if p:
+                s %= p
+            if s:
                 ent[k] = s
-        return Matrix.canonical(r, self.nrows, self.ncols, ent)
+            else:
+                ent.pop(k, None)
+        return Matrix.canonical(self.ring, self.nrows, self.ncols, ent)
 
     def __neg__(self) -> "Matrix":
-        r = self.ring
-        return Matrix.canonical(r, self.nrows, self.ncols,
-                                {k: r.neg(v) for k, v in self.entries.items()})
+        p = self.ring.p
+        return Matrix.canonical(
+            self.ring, self.nrows, self.ncols,
+            {k: p - v if p else -v for k, v in self.entries.items()})
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -189,31 +195,25 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         r = self.ring
         c = r.coerce(c)
-        if r.is_zero(c):
+        if not c:
             return Matrix.zero(r, self.nrows, self.ncols)
-        return Matrix(r, self.nrows, self.ncols,
-                      {k: r.mul(c, v) for k, v in self.entries.items()})
+        # Q, Z and F_p have no zero divisors: no product vanishes
+        p = r.p
+        return Matrix.canonical(
+            r, self.nrows, self.ncols,
+            {k: c * v % p if p else c * v for k, v in self.entries.items()})
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
             raise ValueError("ring mismatch in matrix product")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        r = self.ring
         self_cols = self.columns()
         ent = {}
         for j, col in enumerate(other.columns()):
-            out: dict[int, object] = {}
-            for k, b in col.items():
-                for i, a in self_cols[k].items():
-                    s = r.add(out.get(i, r.zero), r.mul(a, b))
-                    if r.is_zero(s):
-                        del out[i]
-                    else:
-                        out[i] = s
-            for i, v in out.items():
+            for i, v in apply_columns(self.ring, self_cols, col).items():
                 ent[(i, j)] = v
-        return Matrix.canonical(r, self.nrows, other.ncols, ent)
+        return Matrix.canonical(self.ring, self.nrows, other.ncols, ent)
 
     def apply_to_column(self, col: dict[int, object]) -> dict[int, object]:
         """Image of a sparse column vector under this matrix."""
@@ -226,7 +226,7 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def rank(self) -> int:
-        if isinstance(self.ring, PrimeField):
+        if self.ring.p:
             return _rank_mod_p(self, self.ring.p)
         return _rank_fraction_free(self)
 
@@ -237,14 +237,17 @@ class Matrix:
 def apply_columns(ring: RingSpec, cols: list[dict],
                   vec: dict[int, object]) -> dict[int, object]:
     """Image of a sparse column vector under the matrix with these columns."""
+    p = ring.p
     out: dict[int, object] = {}
     for k, b in vec.items():
         for i, a in cols[k].items():
-            s = ring.add(out.get(i, ring.zero), ring.mul(a, b))
-            if ring.is_zero(s):
-                del out[i]
-            else:
+            s = out.get(i, 0) + a * b
+            if p:
+                s %= p
+            if s:
                 out[i] = s
+            else:
+                del out[i]
     return out
 
 
@@ -502,7 +505,7 @@ def field_rref(m: Matrix) -> tuple[list[dict[int, object]], list[int]]:
     ring = m.ring
     if not ring.is_field:
         raise ValueError("field_rref needs a field")
-    modular = isinstance(ring, PrimeField)
+    modular = bool(ring.p)
     if modular:
         rows, policy = m.nonzero_rows(), _ModPEchelon(ring.p)
     else:
@@ -530,7 +533,7 @@ def field_kernel_basis(m: Matrix) -> list[dict[int, object]]:
         for pc in pivots:
             coef = pivot_row_of[pc].get(f)
             if coef is not None:
-                vec[pc] = ring.neg(coef)
+                vec[pc] = ring.p - coef if ring.p else -coef
         basis.append(vec)
     return basis
 
@@ -563,22 +566,23 @@ class FieldReducer:
         self._free_pos = {c: k for k, c in enumerate(self.free)}
 
     def reduce(self, vec: dict[int, object]) -> dict[int, object]:
-        ring = self.ring
+        p = self.ring.p
         out = dict(vec)
         # a reduced echelon row is zero in every other pivot column, so only
         # the pivots present in vec need eliminating, in any order
         for pc in [c for c in vec if c in self._pivot_row]:
             coef = out[pc]
-            if ring.is_zero(coef):
+            if not coef:
                 out.pop(pc, None)
                 continue
-            row = self._pivot_row[pc]
-            for c, v in row.items():
-                s = ring.sub(out.get(c, ring.zero), ring.mul(coef, v))
-                if ring.is_zero(s):
-                    out.pop(c, None)
-                else:
+            for c, v in self._pivot_row[pc].items():
+                s = out.get(c, 0) - coef * v
+                if p:
+                    s %= p
+                if s:
                     out[c] = s
+                else:
+                    out.pop(c, None)
         return out
 
     def coordinates(self, vec: dict[int, object]) -> dict[int, object]:

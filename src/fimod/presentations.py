@@ -47,24 +47,14 @@ class FreeElement:
             self.terms[(gen, inj)] = coeff
 
     def pushforward(self, f: Injection) -> "FreeElement":
-        """Apply f_*: relabel every term along f, merging and dropping zeros."""
+        """Apply f_*: relabel every term along f. g -> f∘g is injective, so
+        no two terms meet and each is written once as it is."""
         if f.source != self.degree:
             raise ValueError(
                 f"pushforward along [{f.source}]->[{f.target}] "
                 f"of a degree-{self.degree} element")
-        out: dict = {}
-        for (gen, g), c in self.terms.items():
-            key = (gen, f.after(g))
-            out[key] = out.get(key, 0) + c
-        return FreeElement(f.target, {k: v for k, v in out.items() if v != 0})
-
-    def add(self, other: "FreeElement") -> "FreeElement":
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return FreeElement(self.degree, {k: v for k, v in out.items() if v != 0})
+        return FreeElement(f.target, {(gen, f.after(g)): c
+                                      for (gen, g), c in self.terms.items()})
 
     def canonical_terms(self):
         return sorted(((gen, inj.images, coeff)
@@ -103,20 +93,6 @@ class SliceModule:
         return self.module.invariants()
 
 
-class SliceMap:
-    """The induced map f_* between two slices of one presentation."""
-
-    __slots__ = ("injection", "map")
-
-    def __init__(self, injection: Injection, module_map: ModuleMap):
-        self.injection = injection
-        self.map = module_map
-
-    @property
-    def matrix(self) -> Matrix:
-        return self.map.matrix
-
-
 _slice_cache: dict = {}
 
 
@@ -139,10 +115,9 @@ class FIPresentation:
                     raise ValueError(
                         f"relation term on generator {gen} has source size "
                         f"{inj.source}, expected {self.generator_degrees[gen]}")
-            canon = FreeElement(r.degree, {
-                k: ring.coerce(v) for k, v in r.terms.items()
-                if not ring.is_zero(ring.coerce(v))})
-            rels.append(canon)
+            canon = {k: ring.coerce(v) for k, v in r.terms.items()}
+            rels.append(FreeElement(
+                r.degree, {k: v for k, v in canon.items() if v}))
         self.relations = tuple(rels)
         self._hash = None
 
@@ -196,7 +171,7 @@ class FIPresentation:
     def slice_module(self, n: int) -> PresentedModule:
         return self.evaluate_slice(n).module
 
-    def induced_map(self, f: Injection) -> SliceMap:
+    def induced_map(self, f: Injection) -> ModuleMap:
         """The basis-relabeling map f_*: V_m -> V_n for f: [m] -> [n]."""
         src = self.evaluate_slice(f.source)
         tgt = self.evaluate_slice(f.target)
@@ -204,7 +179,7 @@ class FIPresentation:
         ent = {(index[(gen, tuple([images[v - 1] for v in g.images]))], k): one
                for k, (gen, g) in enumerate(src.basis)}
         mat = Matrix.canonical(self.ring, tgt.ambient, src.ambient, ent)
-        return SliceMap(f, ModuleMap(src.module, tgt.module, mat))
+        return ModuleMap(src.module, tgt.module, mat)
 
     def induced_matrix(self, f: Injection) -> Matrix:
         return self.induced_map(f).matrix
@@ -218,7 +193,7 @@ class FIPresentation:
         rels = []
         for r in self.relations:
             terms = [{"gen": gen, "injection": list(images),
-                      "coeff": self.ring.to_str(coeff)}
+                      "coeff": str(coeff)}
                      for gen, images, coeff in r.canonical_terms()]
             rels.append({"degree": r.degree, "terms": terms})
         return {
@@ -279,5 +254,5 @@ def evaluate_slice(p: FIPresentation, n: int) -> SliceModule:
     return p.evaluate_slice(n)
 
 
-def induced_map(p: FIPresentation, f: Injection) -> SliceMap:
+def induced_map(p: FIPresentation, f: Injection) -> ModuleMap:
     return p.induced_map(f)

@@ -1,9 +1,12 @@
 """Coefficient rings: the rationals, prime fields F_p and the integers.
 
-Scalars are plain Python values interpreted through a ring object: Fraction
-in lowest terms for Q, an int in [0, p) for F_p, an arbitrary-precision int
-for Z. Ring objects own all arithmetic, canonicalization, parsing and
-printing, so matrices and modules never touch raw values directly.
+Scalars are plain Python values in the ring's canonical form: a Fraction in
+lowest terms for Q, an arbitrary-precision int for Z, an int in [0, p) for
+F_p. A ring object owns only that form and its modulus: `coerce` brings
+outside values into canonical form, and `p` is the prime for F_p and 0 for
+Q and Z. Arithmetic is Python's on the canonical values, reduced mod `p`
+when `p` is nonzero, which keeps every result canonical; `str` prints a
+scalar.
 """
 from __future__ import annotations
 
@@ -27,45 +30,20 @@ def is_prime(p: int) -> bool:
 
 
 class RingSpec:
-    """Base class for the three supported coefficient rings."""
+    """Base class for the three supported coefficient rings.
+
+    `p` is the modulus scalar arithmetic reduces by: the prime for F_p,
+    0 for Q and Z.
+    """
 
     is_field = False
     name = "?"
+    p = 0
+    zero = 0
+    one = 1
 
     def coerce(self, x):
         raise NotImplementedError
-
-    def parse(self, s: str):
-        raise NotImplementedError
-
-    def to_str(self, v) -> str:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def __repr__(self):
         return self.name
@@ -80,42 +58,14 @@ class RingSpec:
 class RationalField(RingSpec):
     is_field = True
     name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         return Fraction(x)
 
-    def parse(self, s: str):
-        return Fraction(s)
-
-    def to_str(self, v) -> str:
-        return str(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in Q")
-        return 1 / Fraction(a)
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
 
 class IntegerRing(RingSpec):
-    is_field = False
     name = "Z"
 
     def coerce(self, x):
@@ -124,35 +74,6 @@ class IntegerRing(RingSpec):
                 raise ValueError(f"{x} is not an integer")
             return int(x)
         return int(x)
-
-    def parse(self, s: str):
-        return int(s)
-
-    def to_str(self, v) -> str:
-        return str(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
-
-    zero = 0
-    one = 1
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
 
 class PrimeField(RingSpec):
@@ -174,35 +95,6 @@ class PrimeField(RingSpec):
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         return int(x) % self.p
-
-    def parse(self, s: str):
-        return int(s) % self.p
-
-    def to_str(self, v) -> str:
-        return str(v)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(a, -1, self.p)
-
-    zero = 0
-    one = 1
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
 
 QQ = RationalField()

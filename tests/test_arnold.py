@@ -182,11 +182,11 @@ def arnold_relations_reference(m: int, n: int, ring) -> Matrix:
                     if sign == 0:
                         continue
                     key = index[es]
-                    cur = ring.add(col.get(key, ring.zero), ring.coerce(sign))
-                    if ring.is_zero(cur):
-                        col.pop(key, None)
-                    else:
+                    cur = ring.coerce(col.get(key, 0) + sign)
+                    if cur:
                         col[key] = cur
+                    else:
+                        col.pop(key, None)
                 if col:
                     cols.append(col)
     if not cols:
@@ -220,9 +220,9 @@ def arnold_presentation_reference(m: int, ring) -> FIPresentation:
                 [tuple(sorted((sigma(u), sigma(v)))) for (u, v) in es])
             terms = {(gi, sigma): ring.one}
             key = (gen_index[sorted_es], identity_injection(s))
-            terms[key] = ring.sub(terms.get(key, ring.zero), ring.coerce(sign))
+            terms[key] = ring.coerce(terms.get(key, 0) - sign)
             relations.append(FreeElement(
-                s, {k: v for k, v in terms.items() if not ring.is_zero(v)}))
+                s, {k: v for k, v in terms.items() if v}))
     if m >= 2:
         for s in range(3, 2 * m + 1):
             for (i, j, k) in combinations(range(1, s + 1), 3):
@@ -236,12 +236,11 @@ def arnold_presentation_reference(m: int, ring) -> FIPresentation:
                         if sign == 0:
                             continue
                         key = (gen_index[sorted_es], identity_injection(s))
-                        cur = ring.add(terms.get(key, ring.zero),
-                                       ring.coerce(sign))
-                        if ring.is_zero(cur):
-                            terms.pop(key, None)
-                        else:
+                        cur = ring.coerce(terms.get(key, 0) + sign)
+                        if cur:
                             terms[key] = cur
+                        else:
+                            terms.pop(key, None)
                     if terms:
                         relations.append(FreeElement(s, terms))
     return FIPresentation(ring, [s for s, _ in gens], relations)

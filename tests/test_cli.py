@@ -303,6 +303,14 @@ def test_negative_degree_exit_code(m2_file, capsys, command):
     assert captured.err == "fimod: error: --n must be >= 0, got -1\n"
 
 
+def test_colimit_negative_degree_exit_code(m2_file, capsys):
+    assert main(["colimit", "--module", m2_file, "--n", "-1",
+                 "--N", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fimod: error: degree must be >= 0\n"
+
+
 def test_unwritable_out_exit_code(m2_file, tmp_path, capsys):
     dest = tmp_path / "missing" / "report.txt"
     assert main(["eval", "--module", m2_file, "--n", "0..2",

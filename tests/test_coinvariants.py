@@ -83,7 +83,7 @@ def kernel_invariant_reference(spec, n, ring, generators=None):
             moved = index[permute_monomial(mono, perm)]
             if moved != k:
                 ent[(moved, k)] = ring.one
-                ent[(k, k)] = ring.neg(ring.one)
+                ent[(k, k)] = ring.coerce(-1)
         stacked.append(Matrix(ring, len(monos), len(monos), ent))
     return monos, field_kernel_basis(vstack(stacked))
 

@@ -571,7 +571,7 @@ def placed_reference(ring, nrows, ncols, placements):
     ent = {}
     for roff, coff, block, negate in placements:
         for (r, c), v in block.entries.items():
-            ent[(roff + r, coff + c)] = ring.neg(v) if negate else v
+            ent[(roff + r, coff + c)] = -v if negate else v
     return Matrix(ring, nrows, ncols, ent)
 
 
@@ -698,11 +698,11 @@ def poset_colimit_reference(src, n, cutoff, mode):
                 col = {offsets[oi] + k: ring.one}
                 for r, v in block_cols[k].items():
                     key = offsets[ti] + r
-                    cur = ring.sub(col.get(key, ring.zero), v)
-                    if ring.is_zero(cur):
-                        col.pop(key, None)
-                    else:
+                    cur = ring.coerce(col.get(key, 0) - v)
+                    if cur:
                         col[key] = cur
+                    else:
+                        col.pop(key, None)
                 cols.append(col)
     relations = Matrix.from_columns(ring, total, cols) if cols \
         else Matrix.zero(ring, total, 0)

@@ -27,25 +27,36 @@ def test_prime_field_arithmetic():
     f7 = GF(7)
     assert f7.coerce(10) == 3
     assert f7.coerce(-1) == 6
-    assert f7.add(5, 4) == 2
-    assert f7.mul(3, 5) == 1
-    assert f7.inv(3) == 5
+    assert (5 + 4) % f7.p == 2
+    assert 3 * 5 % f7.p == 1
+    assert f7.coerce(Fraction(1, 3)) == 5      # 3 * 5 = 1 mod 7
     assert f7.coerce(Fraction(1, 2)) == 4      # 2 * 4 = 1 mod 7
-    with pytest.raises(ZeroDivisionError):
-        f7.inv(0)
     with pytest.raises(ZeroDivisionError):
         f7.coerce(Fraction(1, 7))
 
 
 def test_rational_and_integer_rings():
     assert QQ.coerce("2/4") == Fraction(1, 2)
-    assert QQ.inv(Fraction(3, 2)) == Fraction(2, 3)
     assert ZZ.coerce(Fraction(4, 2)) == 2
     with pytest.raises(ValueError):
         ZZ.coerce(Fraction(1, 2))
-    with pytest.raises(ZeroDivisionError):
-        ZZ.inv(2)
-    assert ZZ.inv(-1) == -1
+
+
+def test_modulus_is_zero_except_over_prime_fields():
+    assert QQ.p == 0 and ZZ.p == 0
+    for p in (2, 3, 7, 2 ** 31 - 1):
+        assert GF(p).p == p
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    for ring in (ZZ, GF(5)):
+        assert type(ring.zero) is int and type(ring.one) is int
+
+
+def test_rings_keep_no_per_operation_methods():
+    # scalars combine with Python arithmetic, reduced mod ring.p
+    for ring in (QQ, ZZ, GF(5)):
+        for name in ("add", "sub", "mul", "neg", "is_zero", "inv", "parse",
+                     "to_str"):
+            assert not hasattr(ring, name), (ring, name)
 
 
 def test_ring_tokens_round_trip():
