@@ -154,18 +154,14 @@ def coinvariant_dim(spec: MultiIndex, n: int, ring: RingSpec) -> CoinvariantRow:
                          "run over Q and a list of primes for Z conclusions")
     if n < 0:
         raise ValueError("n must be >= 0")
-    monos = monomials(spec, n)
-    if n == 0 or not monos:
-        return CoinvariantRow(n, len(monos), 0)
     ideal = ideal_matrix(spec, n, ring)
-    return CoinvariantRow(n, len(monos), ideal.rank())
+    return CoinvariantRow(n, ideal.nrows, ideal.rank())
 
 
 def coinvariant_module(spec: MultiIndex, n: int, ring: RingSpec) -> PresentedModule:
     """The coinvariant slice as a presented module over the monomial basis."""
-    monos = monomials(spec, n)
-    ideal = ideal_matrix(spec, n, ring) if monos else Matrix.zero(ring, 0, 0)
-    return PresentedModule(ring, len(monos), ideal)
+    ideal = ideal_matrix(spec, n, ring)
+    return PresentedModule(ring, ideal.nrows, ideal)
 
 
 def _pullback_monomial(mono, f: Injection):
@@ -198,10 +194,8 @@ def coinvariant_dual_map(spec: MultiIndex, f: Injection, ring: RingSpec) -> Matr
     m, n = f.source, f.target
     monos_n = monomials(spec, n)
     monos_m = monomials(spec, m)
-    red_n = FieldReducer(ideal_matrix(spec, n, ring)
-                         if monos_n and n > 0 else Matrix.zero(ring, len(monos_n), 0))
-    red_m = FieldReducer(ideal_matrix(spec, m, ring)
-                         if monos_m and m > 0 else Matrix.zero(ring, len(monos_m), 0))
+    red_n = FieldReducer(ideal_matrix(spec, n, ring))
+    red_m = FieldReducer(ideal_matrix(spec, m, ring))
     index_m = {mono: k for k, mono in enumerate(monos_m)}
     ent = {}
     for col, amb in enumerate(red_n.free):

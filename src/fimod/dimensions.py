@@ -3,12 +3,14 @@
 Polynomials live in the binomial basis C(n, k) with integer coefficients,
 so integrality at every nonnegative integer is structural. A fit succeeds
 when some iterated finite difference vanishes on a long enough tail; the
-polynomial is reconstructed by extrapolating the difference table back to
-n = 0, where the binomial coefficients can be read off directly.
+binomial coefficients are the differences at n = 0, read off one column of
+the difference table by Newton's series.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 
 from .modules import Invariants
 from .rings import RingSpec
@@ -52,19 +54,6 @@ class IntegerValuedPolynomial:
             term = f"C(n,{k})" if k else "1"
             parts.append(f"{c}*{term}" if k else f"{c}")
         return " + ".join(parts) if parts else "0"
-
-
-def _binom_int(m: int, k: int) -> int:
-    """C(m, k) for any integer m and k >= 0 (integer-valued)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    num = 1
-    for i in range(k):
-        num *= m - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return num // den
 
 
 @dataclass
@@ -112,9 +101,10 @@ class DimensionTable:
     @classmethod
     def from_csv(cls, text: str, ring: RingSpec) -> "DimensionTable":
         """Parse to_csv output: header `n,dim` over a field or
-        `n,free_rank,torsion` over Z, then at least one row. Dimensions and
-        free ranks must be >= 0, and torsion entries invariant factors:
-        each > 1 and dividing the next."""
+        `n,free_rank,torsion` over Z, then at least one row. Every n,
+        dimension, free rank and torsion entry is ASCII decimal digits, and
+        torsion entries are invariant factors: each > 1 and dividing the
+        next."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
         want = ["n", "dim"] if ring.is_field else ["n", "free_rank", "torsion"]
         if not lines or lines[0].split(",") != want:
@@ -127,20 +117,21 @@ class DimensionTable:
             parts = ln.split(",")
             if not 2 <= len(parts) <= len(want):
                 raise ValueError(f"row {ln!r} does not match the header")
-            n, rank = int(parts[0]), int(parts[1])
-            if rank < 0:
-                raise ValueError(f"row {ln!r} has a negative {want[1]}")
+            cells = parts[:2] + (parts[2].split(";")
+                                 if len(parts) > 2 and parts[2] else [])
+            if not all(re.fullmatch(r"[0-9]+", c) for c in cells):
+                raise ValueError(f"row {ln!r}: every entry must be ASCII "
+                                 "decimal digits")
+            n, rank, *tor = map(int, cells)
             if ring.is_field:
                 rows.append((n, rank))
             else:
-                tor = tuple(int(x) for x in parts[2].split(";")) \
-                    if len(parts) > 2 and parts[2] else ()
                 if any(d < 2 for d in tor) or \
                         any(b % a for a, b in zip(tor, tor[1:])):
                     raise ValueError(
                         f"row {ln!r}: torsion must be invariant factors "
                         "> 1, each dividing the next")
-                rows.append((n, Invariants(rank, tor)))
+                rows.append((n, Invariants(rank, tuple(tor))))
         rows.sort(key=lambda t: t[0])
         start = rows[0][0]
         for k, (n, _) in enumerate(rows):
@@ -220,22 +211,19 @@ def fit_polynomial(table: DimensionTable, min_tail: int = 3) -> FitReport:
     if degree is None:
         return FitReport(None, None, 0, "inconclusive",
                         "no finite difference vanishes on the window tail")
-    # Newton form at base b = end - degree: the forward differences
-    # Delta^k f(b) sit at a fixed column of the pyramid. Converting to the
-    # C(n, k) basis uses c_k = Delta^k P(0), read off a second difference
-    # pyramid over the values P(0), ..., P(degree).
+    # Newton's series at step -b reads the C(n, k) coefficients off the
+    # pyramid column at n = b = end - degree in closed form:
+    # c_k = Delta^k P(0) = sum_j C(-b, j) Delta^(k+j) P(b), with
+    # C(-b, j) = (-1)^j C(b + j - 1, j). That is O(degree^2) integer work
+    # however large the table's start is. The j = 0 term is Delta^k P(b)
+    # itself, since math.comb refuses C(-1, 0) when b = 0.
     base_idx = len(vals) - 1 - degree
-    base = table.start + base_idx
-    newton = [diffs[k][base_idx] for k in range(degree + 1)]
-    low_values = [
-        sum(a * _binom_int(n - base, k) for k, a in enumerate(newton))
-        for n in range(0, degree + 1)
-    ]
-    coeffs = []
-    row = low_values
-    for _ in range(degree + 1):
-        coeffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+    b = table.start + base_idx
+    column = [diffs[k][base_idx] for k in range(degree + 1)]
+    coeffs = [column[k] + sum((-1) ** j * math.comb(b + j - 1, j)
+                              * column[k + j]
+                              for j in range(1, degree - k + 1))
+              for k in range(degree + 1)]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     poly = IntegerValuedPolynomial(tuple(coeffs))

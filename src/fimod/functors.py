@@ -224,9 +224,8 @@ def h0_slice(p: FIPresentation, n: int) -> PresentedModule:
         if len(g.images) < n:
             extra.append({k: ring.one})
     cols = sm.module.relations.columns() + extra
-    mat = Matrix.from_columns(ring, sm.ambient, cols) \
-        if cols else Matrix.zero(ring, sm.ambient, 0)
-    return PresentedModule(ring, sm.ambient, mat)
+    return PresentedModule(ring, sm.ambient,
+                           Matrix.from_columns(ring, sm.ambient, cols))
 
 
 @dataclass
@@ -264,6 +263,13 @@ class TorsionReport:
         return self.invariants[-1]
 
 
+def _ascending(spans: list[SubmoduleOfQuotient]) -> bool:
+    """Does each span lie in the next? Stops at the first pair that fails."""
+    return all(SubmoduleOfQuotient(nxt.module, prev.generators
+                                   + nxt.generators).same_span_as(nxt)
+               for prev, nxt in zip(spans, spans[1:]))
+
+
 def torsion_slice(p: FIPresentation, n: int, a_max: int) -> TorsionReport:
     """Kernels of the canonical maps V_n -> V_{n+a} for a = 1..a_max.
 
@@ -281,12 +287,7 @@ def torsion_slice(p: FIPresentation, n: int, a_max: int) -> TorsionReport:
         sub = SubmoduleOfQuotient(sm.module, gens)
         kernels.append(sub)
         invariants.append(sub.invariants())
-    ascending = True
-    for prev, nxt in zip(kernels, kernels[1:]):
-        stacked = SubmoduleOfQuotient(
-            sm.module, prev.generators + nxt.generators)
-        if not stacked.same_span_as(nxt):
-            ascending = False
+    ascending = _ascending(kernels)
     stabilized = len(kernels) >= 3 and \
         kernels[-1].same_span_as(kernels[-2]) and \
         kernels[-2].same_span_as(kernels[-3])
@@ -335,10 +336,6 @@ class SaturationReport:
     stabilization: int | None       # least N with W^N = W^(N+j), j <= slack
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.stabilization is None
-
 
 def saturate(d: int, generators: list[FreeElement], a_max: int,
              slack: int, ring: RingSpec) -> SaturationReport:
@@ -376,12 +373,7 @@ def saturate(d: int, generators: list[FreeElement], a_max: int,
                     cols.append(col)
         sub = SubmoduleOfQuotient(ambient.module, cols)
         stages.append(SaturationStage(a, sub, sub.invariants()))
-    ascending = True
-    for prev, nxt in zip(stages, stages[1:]):
-        stacked = SubmoduleOfQuotient(
-            ambient.module, prev.span.generators + nxt.span.generators)
-        if not stacked.same_span_as(nxt.span):
-            ascending = False
+    ascending = _ascending([stage.span for stage in stages])
     stabilization = None
     for n0 in range(0, a_max - slack + 1):
         if all(stages[n0].span.same_span_as(stages[n0 + j].span)

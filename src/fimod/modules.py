@@ -231,8 +231,7 @@ class SubmoduleOfQuotient:
         self.module = module
         self.generators = generators
         self._full = hstack([
-            Matrix.from_columns(module.ring, module.ambient, generators)
-            if generators else Matrix.zero(module.ring, module.ambient, 0),
+            Matrix.from_columns(module.ring, module.ambient, generators),
             module.relations,
         ])
 
@@ -254,8 +253,7 @@ class SubmoduleOfQuotient:
             if sol is None:
                 raise RuntimeError("relations escaped their own span")
             rel_cols.append(sol)
-        inner = Matrix.from_columns(ring, len(basis), rel_cols) \
-            if rel_cols else Matrix.zero(ring, len(basis), 0)
+        inner = Matrix.from_columns(ring, len(basis), rel_cols)
         return PresentedModule(ring, len(basis), inner).invariants()
 
     def same_span_as(self, other: "SubmoduleOfQuotient") -> bool:

@@ -246,12 +246,11 @@ def check_polynomial_dimensions() -> CheckResult:
         # the pinned window supports a 3-long tail only for low degrees;
         # fall back to the longest tail it admits and strengthen the
         # certificate with out-of-window oracle agreement
-        rep = None
         for tail in (3, 2, 1):
             rep = fit_polynomial(DimensionTable(QQ, m + 1, vals), tail)
             if rep.certified:
                 break
-        if rep is None or not rep.certified:
+        if not rep.certified:
             return CheckResult("polynomial-dimensions", "fail",
                                f"witness fit m={m}: {rep.detail}")
         for n in (9, 10):
@@ -267,12 +266,11 @@ def check_polynomial_dimensions() -> CheckResult:
                 return CheckResult("polynomial-dimensions", "fail",
                                    f"coinvariant J=(1) table over {ring.name}: "
                                    f"{table.values}")
-            rep = None
             for tail in (3, 2, 1):
                 rep = fit_polynomial(table, tail)
                 if rep.certified:
                     break
-            if rep is None or not rep.certified:
+            if not rep.certified:
                 return CheckResult("polynomial-dimensions", "fail",
                                    f"coinvariant fit J=({j},) over {ring.name}")
             for n in (9, 10):

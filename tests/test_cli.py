@@ -130,12 +130,15 @@ def test_tail_equal_command(tmp_path, capsys):
     assert "result: false" in out
 
 
-@pytest.mark.parametrize("text", ["", "n,dim\n",
-                                  "n,free_rank,torsion\n0,1,\n1,2,2\n"])
+@pytest.mark.parametrize("text", [
+    "", "n,dim\n", "n,free_rank,torsion\n0,1,\n1,2,2\n",
+    # padded, signed and Arabic-Indic cells: int() alone takes all three
+    "n,dim\n 0 ,1\n+1,2\n\u0662,3\n3,4\n4,5\n",
+])
 @pytest.mark.parametrize("command", ["fit", "tail-equal"])
 def test_bad_table_exit_code(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     good = tmp_path / "good.csv"
     good.write_text("n,dim\n0,1\n1,2\n")
     argv = ["fit", "--table", str(bad)] if command == "fit" else \

@@ -6,10 +6,11 @@ import pytest
 
 from fimod.coinvariants import (MultiIndex, _positive_subdegrees,
                                 coinvariant_dim, coinvariant_dual_map,
-                                coinvariant_table, ideal_matrix,
-                                invariant_basis, monomials)
+                                coinvariant_module, coinvariant_table,
+                                ideal_matrix, invariant_basis, monomials)
 from fimod.injections import Injection, identity_injection
 from fimod.matrix import Matrix, field_kernel_basis, vstack
+from fimod.modules import Invariants
 from fimod.rings import GF, QQ, ZZ
 from tests.test_matrix import assert_canonical
 
@@ -28,6 +29,38 @@ def test_coinvariant_dim_examples():
     assert coinvariant_dim(MultiIndex(2, (1, 1)), 2, QQ).dim == 0
     assert coinvariant_dim(MultiIndex(1, (0,)), 0, QQ).dim == 1
     assert coinvariant_dim(MultiIndex(1, (2,)), 0, QQ).dim == 0
+
+
+@pytest.mark.parametrize("J,n,row", [
+    ((0,), 0, (1, 0)), ((0,), 1, (1, 0)),
+    ((1,), 0, (0, 0)), ((1,), 1, (1, 1)),
+    ((2, 2), 0, (0, 0)), ((2, 2), 1, (1, 1)),
+])
+def test_coinvariant_dim_edge_rows(J, n, row):
+    for ring in (QQ, GF(2), GF(3)):
+        got = coinvariant_dim(MultiIndex(len(J), J), n, ring)
+        assert (got.poly_dim, got.ideal_rank) == row
+
+
+@pytest.mark.parametrize("J,ambient,free_rank", [
+    ((0,), 1, 1), ((1,), 0, 0), ((2, 2), 0, 0),
+])
+def test_coinvariant_module_at_zero(J, ambient, free_rank):
+    for ring in (QQ, GF(3)):
+        mod = coinvariant_module(MultiIndex(len(J), J), 0, ring)
+        assert (mod.ambient, mod.relations.ncols) == (ambient, 0)
+        assert mod.invariants() == Invariants(free_rank)
+
+
+@pytest.mark.parametrize("J,shape,entries", [
+    ((0,), (1, 1), {(0, 0): 1}), ((1,), (1, 0), {}), ((2, 2), (0, 0), {}),
+])
+def test_coinvariant_dual_map_from_zero(J, shape, entries):
+    """The dual map along [0] -> [2]."""
+    for ring in (QQ, GF(2)):
+        mat = coinvariant_dual_map(MultiIndex(len(J), J),
+                                   Injection(0, 2, ()), ring)
+        assert (mat.nrows, mat.ncols) == shape and mat.entries == entries
 
 
 def test_coinvariant_refuses_z():

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
-from fimod.dimensions import (DimensionTable, IntegerValuedPolynomial,
-                              dimension_table, finite_difference,
-                              fit_polynomial, tail_equal)
+from fimod.dimensions import (DimensionTable, FitReport,
+                              IntegerValuedPolynomial, dimension_table,
+                              finite_difference, fit_polynomial, tail_equal)
 from fimod.presentations import free_presentation
 from fimod.rings import QQ, ZZ
 from tests.test_presentations import torsion_module
@@ -92,6 +93,124 @@ def test_fit_translation_consistency():
     assert rep2.polynomial == rep.polynomial
 
 
+# -- the two-pyramid reconstruction the closed form replaced, kept as a
+# reference: the Newton form at the base b is evaluated at n = 0..degree
+# through a generalized binomial, and a second difference pyramid over
+# those values reads off c_k = Delta^k P(0).
+
+def _binom_reference(m, k):
+    num = 1
+    for i in range(k):
+        num *= m - i
+    return num // math.factorial(k)
+
+
+def fit_reference(table, min_tail=3):
+    vals = list(table.values)
+    if len(vals) < min_tail + 1:
+        return FitReport(None, None, 0, "inconclusive",
+                         f"table has {len(vals)} rows; need at least "
+                         f"{min_tail + 1} for a degree-0 certificate")
+    diffs = [vals]
+    while len(diffs[-1]) > 1:
+        prev = diffs[-1]
+        diffs.append([b - a for a, b in zip(prev, prev[1:])])
+    degree = None
+    for d in range(0, len(diffs) - 1):
+        row = diffs[d + 1]
+        if len(row) >= min_tail and all(x == 0 for x in row[-min_tail:]):
+            degree = d
+            break
+    if degree is None:
+        return FitReport(None, None, 0, "inconclusive",
+                         "no finite difference vanishes on the window tail")
+    base_idx = len(vals) - 1 - degree
+    base = table.start + base_idx
+    newton = [diffs[k][base_idx] for k in range(degree + 1)]
+    row = [sum(a * _binom_reference(n - base, k)
+               for k, a in enumerate(newton))
+           for n in range(0, degree + 1)]
+    coeffs = []
+    for _ in range(degree + 1):
+        coeffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    poly = IntegerValuedPolynomial(tuple(coeffs))
+    onset = None
+    for n, v in reversed(table.rows()):
+        if poly.value(n) != v:
+            break
+        onset = n
+    if onset is None or table.end - onset + 1 < min_tail:
+        return FitReport(None, None, 0, "inconclusive",
+                         "reconstructed polynomial matches too short a tail")
+    return FitReport(poly, onset, table.end - onset + 1,
+                     "certified-on-window")
+
+
+def random_fit_table(rng):
+    """A degree <= 5 polynomial in the binomial basis on a contiguous
+    window, starting near 0 or anywhere up to 10^12, with up to three
+    entries moved off it."""
+    degree = rng.randint(0, 5)
+    coeffs = [rng.randint(-20, 20) for _ in range(degree + 1)]
+    start = rng.randint(0, 10) if rng.random() < 0.5 else \
+        rng.randint(10 ** 9, 10 ** 12)
+    rows = rng.randint(1, 14)
+    vals = [sum(c * math.comb(n, k) for k, c in enumerate(coeffs))
+            for n in range(start, start + rows)]
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randrange(rows)
+        vals[k] += rng.choice([-1, 1]) * rng.randint(1, 9)
+    return DimensionTable(QQ, start, vals)
+
+
+def test_fit_matches_two_pyramid_reference_on_random_tables():
+    rng = random.Random(20121)
+    certified = 0
+    for _ in range(3000):
+        table = random_fit_table(rng)
+        min_tail = rng.randint(1, 4)
+        rep = fit_polynomial(table, min_tail)
+        assert rep == fit_reference(table, min_tail), (table, min_tail)
+        certified += rep.certified
+    assert 0 < certified < 3000
+
+
+def test_fit_perturbed_prefix_at_large_starts_matches_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        degree = rng.randint(0, 5)
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)] + \
+            [rng.randint(1, 9)]
+        start = rng.randint(10 ** 9, 10 ** 12)
+        vals = [sum(c * math.comb(n, k) for k, c in enumerate(coeffs))
+                for n in range(start, start + degree + 7)]
+        prefix = rng.randint(1, 3)
+        for k in range(prefix):
+            vals[k] += rng.randint(1, 5)
+        table = DimensionTable(QQ, start, vals)
+        rep = fit_polynomial(table, 3)
+        assert rep == fit_reference(table, 3)
+        assert rep.polynomial.coefficients == tuple(coeffs)
+        assert rep.onset == start + prefix
+
+
+def test_fit_table_starting_at_ten_to_the_twelfth():
+    start = 10 ** 12
+    table = DimensionTable(QQ, start, [math.comb(n, 2)
+                                       for n in range(start, start + 8)])
+    rep = fit_polynomial(table, 3)
+    assert rep.certified and rep.polynomial.coefficients == (0, 0, 1)
+    assert (rep.onset, rep.tail_length) == (start, 8)
+    # a perturbed first row moves the onset, not the polynomial
+    table.values[0] += 1
+    rep = fit_polynomial(table, 3)
+    assert rep.polynomial.coefficients == (0, 0, 1)
+    assert (rep.onset, rep.tail_length) == (start + 1, 7)
+
+
 def test_tail_equal_examples():
     t = dimension_table(free_presentation(QQ, 2), 0, 8)
     assert tail_equal(t, t, 5)
@@ -140,6 +259,24 @@ def test_from_csv_accepts_integer_rows_without_torsion_field():
     back = DimensionTable.from_csv("n,free_rank,torsion\n0,1\n1,2,2;4\n", ZZ)
     assert [(v.free_rank, v.torsion) for v in back.values] == \
         [(1, ()), (2, (2, 4))]
+
+
+@pytest.mark.parametrize("text,ring", [
+    ("n,dim\n 0 ,1\n", QQ), ("n,dim\n0, 1\n", QQ),   # padded cells
+    ("n,dim\n+1,2\n", QQ), ("n,dim\n0,+2\n", QQ),    # a plus sign
+    ("n,dim\n\u0662,3\n", QQ), ("n,dim\n0,\u0663\n", QQ),  # Arabic-Indic
+    ("n,dim\n1_0,2\n", QQ), ("n,dim\n0,1_0\n", QQ),  # digit grouping
+    ("n,dim\n1.0,2\n", QQ), ("n,dim\n0,1e3\n", QQ), ("n,dim\n,2\n", QQ),
+    ("n,free_rank,torsion\n0, 1,\n", ZZ),
+    ("n,free_rank,torsion\n0,1,2; 4\n", ZZ),
+    ("n,free_rank,torsion\n0,1,+2\n", ZZ),
+    ("n,free_rank,torsion\n0,1,2;;4\n", ZZ),
+    ("n,free_rank,torsion\n0,1,\u0662\n", ZZ),
+    ("n,free_rank,torsion\n0,1,2_0\n", ZZ),
+])
+def test_from_csv_refuses_cells_other_than_ascii_digits(text, ring):
+    with pytest.raises(ValueError, match="ASCII decimal digits"):
+        DimensionTable.from_csv(text, ring)
 
 
 @pytest.mark.parametrize("text,ring", [

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from fimod.functors import (GenerationReport, derivative, generation_degree,
-                            h0_slice, pi_projection, q_summand_rank, saturate,
-                            shift_decomposition, shift_identification,
-                            shift_presentation, torsion_slice, x_map,
-                            x_map_decomposed)
+from fimod.functors import (GenerationReport, _ascending, derivative,
+                            generation_degree, h0_slice, pi_projection,
+                            q_summand_rank, saturate, shift_decomposition,
+                            shift_identification, shift_presentation,
+                            torsion_slice, x_map, x_map_decomposed)
 from fimod.injections import Injection, count_injections
 from fimod.matrix import Matrix
-from fimod.modules import is_isomorphism
+from fimod.modules import (PresentedModule, SubmoduleOfQuotient,
+                           is_isomorphism)
 from fimod.presentations import FIPresentation, FreeElement, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, seeded_structures
@@ -284,3 +285,16 @@ def test_saturation_empirical_bound():
         rep = saturate(d, [w], (m - d) + slack + 1, slack, QQ)
         if rep.stabilization is not None:
             assert rep.stabilization <= m - d + slack
+
+
+def test_ascending_chains_of_spans():
+    """Two lines in Q^2 do not nest; the zero span lies in both."""
+    plane = PresentedModule(QQ, 2)
+    x = SubmoduleOfQuotient(plane, [{0: 1}])
+    y = SubmoduleOfQuotient(plane, [{1: 1}])
+    zero = SubmoduleOfQuotient(plane, [])
+    whole = SubmoduleOfQuotient(plane, [{0: 1}, {1: 1}])
+    assert not _ascending([x, y])
+    assert not _ascending([zero, x, y, whole])
+    assert _ascending([zero, x, whole])
+    assert _ascending([x]) and _ascending([])
