@@ -58,6 +58,8 @@ def compositions(total: int, parts: int):
 
 def monomials(spec: MultiIndex, n: int) -> list[tuple[tuple[int, ...], ...]]:
     """Exponent matrices (r rows, n columns) with row sums J, lex order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     rows_per_group = [list(compositions(j, n)) for j in spec.J]
     return [tuple(choice) for choice in iter_product(*rows_per_group)]
 
@@ -132,6 +134,8 @@ def ideal_matrix(spec: MultiIndex, n: int, ring: RingSpec) -> Matrix:
     orbit times a monomial has distinct products, so no entry merges."""
     if not ring.is_field:
         raise ValueError("coinvariant computations are field-only")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     nrows, ncols, keys = _ideal_pattern(spec, n)
     return Matrix.canonical(ring, nrows, ncols, dict.fromkeys(keys, ring.one))
 
@@ -152,8 +156,6 @@ def coinvariant_dim(spec: MultiIndex, n: int, ring: RingSpec) -> CoinvariantRow:
     if not ring.is_field:
         raise ValueError("coinvariant computations are field-only; "
                          "run over Q and a list of primes for Z conclusions")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     ideal = ideal_matrix(spec, n, ring)
     return CoinvariantRow(n, ideal.nrows, ideal.rank())
 

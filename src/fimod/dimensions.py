@@ -192,34 +192,38 @@ def fit_polynomial(table: DimensionTable, min_tail: int = 3) -> FitReport:
         raise ValueError("fit the free-rank column of Z tables explicitly")
     if min_tail < 1:
         raise ValueError("min_tail must be >= 1")
-    vals = list(table.values)
+    vals = table.values
     if len(vals) < min_tail + 1:
         return FitReport(None, None, 0, "inconclusive",
                          f"table has {len(vals)} rows; need at least "
                          f"{min_tail + 1} for a degree-0 certificate")
-    # difference pyramid: diffs[k] is the k-th difference row
-    diffs = [vals]
-    while len(diffs[-1]) > 1:
-        prev = diffs[-1]
-        diffs.append([b - a for a, b in zip(prev, prev[1:])])
+    # difference rows one at a time, up to the first whose tail vanishes
     degree = None
-    for d in range(0, len(diffs) - 1):
-        row = diffs[d + 1]
-        if len(row) >= min_tail and all(x == 0 for x in row[-min_tail:]):
+    row = vals
+    for d in range(len(vals) - 1):
+        row = [b - a for a, b in zip(row, row[1:])]
+        if len(row) < min_tail:
+            break
+        if all(x == 0 for x in row[-min_tail:]):
             degree = d
             break
     if degree is None:
         return FitReport(None, None, 0, "inconclusive",
                         "no finite difference vanishes on the window tail")
     # Newton's series at step -b reads the C(n, k) coefficients off the
-    # pyramid column at n = b = end - degree in closed form:
+    # difference column at n = b = end - degree in closed form:
     # c_k = Delta^k P(0) = sum_j C(-b, j) Delta^(k+j) P(b), with
     # C(-b, j) = (-1)^j C(b + j - 1, j). That is O(degree^2) integer work
     # however large the table's start is. The j = 0 term is Delta^k P(b)
-    # itself, since math.comb refuses C(-1, 0) when b = 0.
+    # itself, since math.comb refuses C(-1, 0) when b = 0. Delta^k P(b)
+    # for k <= degree reads only the last degree + 1 values, so the column
+    # is the first entry of each difference row of those values.
     base_idx = len(vals) - 1 - degree
     b = table.start + base_idx
-    column = [diffs[k][base_idx] for k in range(degree + 1)]
+    column, row = [], vals[base_idx:]
+    while row:
+        column.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
     coeffs = [column[k] + sum((-1) ** j * math.comb(b + j - 1, j)
                               * column[k + j]
                               for j in range(1, degree - k + 1))
@@ -228,8 +232,8 @@ def fit_polynomial(table: DimensionTable, min_tail: int = 3) -> FitReport:
         coeffs.pop()
     poly = IntegerValuedPolynomial(tuple(coeffs))
     onset = None
-    for n, v in reversed(table.rows()):
-        if poly.value(n) != v:
+    for n in range(table.end, table.start - 1, -1):
+        if poly.value(n) != table.row(n):
             break
         onset = n
     if onset is None or table.end - onset + 1 < min_tail:

@@ -31,8 +31,8 @@ pivot costs heap pops instead of a scan over every row. A small
   mod-p row operations.
 - rank over Q and Z: fraction-free integer rows, each divided by its
   content gcd after every update; pivot columns unit first, then fewest
-  rows, then smallest |value|. Rational inputs are row-scaled to integers
-  first, which does not change rank.
+  rows, then smallest |value|. Rational rows are scaled to integers after
+  the contraction below, which does not change rank.
 - unit stripping (`smith.invariant_factors`): only +-1 entries pivot. A row
   without one is parked until an update pushes it again.
 - rref: the pivot column is min(row) of the row as it leaves the heap, when
@@ -44,6 +44,21 @@ pivot costs heap pops instead of a scan over every row. A small
   Over F_p each pivot row is scaled to 1 as it is taken. Over Q the rows
   are fraction-free: primitive integer rows with the row update of the
   rank mode, each finished row divided by its pivot only at the end.
+
+Rank over F_p, Q and Z and unit stripping first contract two-term unit
+columns (`contract_unit_pairs`, the weight-2 merge of structured Gaussian
+elimination, LaMacchia and Odlyzko 1990). Slice relation matrices are
+mostly such columns, since every relation is pushed along every injection.
+A column +-e_a +-e_b identifies row b with +-row a in the cokernel, so a
+signed union-find on rows merges them, and the other columns are rewritten
+onto the roots. The merged columns form a forest of unit edges; their span
+is a direct summand of the ambient module (one coordinate per row) with
+free quotient on the roots, so over Z too the cokernel is that of the rewritten residue: rank = merges +
+rank(residue), and every merge is one invariant factor 1. A matrix with no
+such column goes to the eliminator untouched. rref does not contract: the
+residue lives on the roots, not on the original coordinates, and only the
+unique reduced echelon form of the whole matrix serves `FieldReducer` and
+kernels.
 
 Ranks, invariant factors and reduced echelon forms do not depend on the
 pivot order, so results do not depend on how the heap breaks ties.
@@ -338,9 +353,14 @@ class SparseEliminator:
         self.policy = policy
         self.finished: dict[int, dict] | None = {} if reduced else None
         self.cols: dict[int, set[int]] = {}
+        get = self.cols.get
         for i, row in rows.items():
             for j in row:
-                self.cols.setdefault(j, set()).add(i)
+                held = get(j)
+                if held is None:
+                    self.cols[j] = {i}
+                else:
+                    held.add(i)
 
     def run(self) -> int:
         """Eliminate until no row can pivot; return the number of pivots."""
@@ -395,6 +415,105 @@ class SparseEliminator:
                 cols[c].discard(t)
 
 
+def contract_unit_pairs(rows: dict[int, dict], policy: PivotPolicy
+                        ) -> tuple[int, SparseEliminator]:
+    """Merge the two-term unit columns of a matrix given by its rows, then
+    hand the rest to an eliminator with `policy`.
+
+    A column u_a e_a + u_b e_b with u_a, u_b = +-1 (1 or p - 1 over F_p,
+    p = `policy.p`) says e_b = -u_a u_b e_a in the cokernel. A signed
+    union-find on rows, by size, keeps each row as +-1 times its root.
+    Such a pair on two different roots merges them; on one root it is the
+    one-term column (u_a s_a + u_b s_b) on that root, which is 0 or +-2
+    (mod p) and stays in the residue when nonzero. Every other column is
+    rewritten onto the roots: signs flipped, collisions summed, zeros
+    dropped.
+
+    Exact over Z too: the merging pairs form a forest of unit edges, whose
+    span is a direct summand with free quotient on the roots. So the
+    cokernel of the matrix is the cokernel of the rewritten residue, and
+    rank = merges + rank(residue); every merge is one unit invariant
+    factor. Returns (merges, an eliminator over the residue rows, not yet
+    run). With no qualifying column that eliminator is the one over `rows`
+    itself, built once, so such a matrix takes no extra pass over its
+    entries. A reduced echelon form is not preserved, so rref never comes
+    here.
+    """
+    elim = SparseEliminator(rows, policy)
+    cols, p = elim.cols, policy.p
+    minus = p - 1 if p else -1
+    up: dict[int, tuple[int, int]] = {}   # non-root row -> (parent, sign)
+    size: dict[int, int] = {}
+
+    def find(r: int) -> tuple[int, int]:
+        """(root, s) with e_r = s * e_root; compresses the path."""
+        s, node = 1, r
+        while node in up:
+            node, t = up[node]
+            s *= t
+        root, acc, node = node, s, r
+        while node in up:
+            parent, t = up[node]
+            up[node] = (root, acc)
+            acc *= t
+            node = parent
+        return root, s
+
+    merges = 0
+    rest = []                             # columns left for the residue
+    loops = []                            # (column, row, value) on one root
+    for j, held in cols.items():
+        if len(held) == 2:
+            a, b = held
+            ua, ub = rows[a][j], rows[b][j]
+            ua = 1 if ua == 1 else -1 if ua == minus else 0
+            if ua:
+                ub = 1 if ub == 1 else -1 if ub == minus else 0
+                if ub:
+                    ra, sa = find(a) if a in up else (a, 1)
+                    rb, sb = find(b) if b in up else (b, 1)
+                    if ra == rb:
+                        c = ua * sa + ub * sb
+                        if p:
+                            c %= p
+                        if c:
+                            loops.append((j, ra, c))
+                        continue
+                    za, zb = size.get(ra, 1), size.get(rb, 1)
+                    if za < zb:
+                        ra, rb = rb, ra
+                    up[rb] = (ra, -ua * sa * ub * sb)
+                    size[ra] = za + zb
+                    merges += 1
+                    continue
+        rest.append(j)
+    if not merges:
+        return 0, elim                    # the first unit pair always merges
+    residue: dict[int, dict] = {}
+    for j in rest:
+        for i in cols[j]:
+            r, s = find(i)
+            v = rows[i][j]
+            if s < 0:
+                v = p - v if p else -v
+            row = residue.setdefault(r, {})
+            if j in row:
+                v += row[j]
+                if p:
+                    v %= p
+                if not v:
+                    del row[j]
+                    continue
+            row[j] = v
+    for j, r, c in loops:
+        r, s = find(r)
+        if s < 0:
+            c = p - c if p else -c
+        residue.setdefault(r, {})[j] = c
+    return merges, SparseEliminator(
+        {r: row for r, row in residue.items() if row}, policy)
+
+
 # ---------------------------------------------------------------------------
 # rank over F_p
 
@@ -415,7 +534,8 @@ class _ModP(PivotPolicy):
 
 
 def _rank_mod_p(m: Matrix, p: int) -> int:
-    return SparseEliminator(m.nonzero_rows(), _ModP(p)).run()
+    merges, elim = contract_unit_pairs(m.nonzero_rows(), _ModP(p))
+    return merges + elim.run()
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +547,19 @@ def _rank_mod_p(m: Matrix, p: int) -> int:
 def _primitive_rows(m: Matrix) -> dict[int, dict[int, int]]:
     """The nonzero rows scaled to integers and divided by their content."""
     rows = m.nonzero_rows()
+    _make_primitive(rows, isinstance(m.ring, RationalField))
+    return rows
+
+
+def _make_primitive(rows: dict[int, dict], rational: bool) -> None:
+    """Scale each row to integers (when `rational`) and divide it by its
+    content, in place; the rows keep their columns."""
     for i, row in rows.items():
-        if isinstance(m.ring, RationalField):
+        if rational:
             den = lcm(*(v.denominator for v in row.values()))
             rows[i] = row = {j: v.numerator * (den // v.denominator)
                              for j, v in row.items()}
         _reduce_content(row)
-    return rows
 
 
 def _reduce_content(row: dict[int, int]) -> None:
@@ -473,7 +599,9 @@ class _FractionFree(PivotPolicy):
 
 
 def _rank_fraction_free(m: Matrix) -> int:
-    return SparseEliminator(_primitive_rows(m), _FractionFree()).run()
+    merges, elim = contract_unit_pairs(m.nonzero_rows(), _FractionFree())
+    _make_primitive(elim.rows, isinstance(m.ring, RationalField))
+    return merges + elim.run()
 
 
 # ---------------------------------------------------------------------------

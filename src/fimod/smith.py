@@ -2,8 +2,8 @@
 
 One Hermite loop serves every dense integer elimination here. The Smith form
 alternates column and row Hermite forms until the matrix is diagonal; the
-diagonal-only path strips unit pivots sparsely first and runs that loop on
-the small residue, and smith_form(transforms=True) runs it on the whole
+diagonal-only path merges two-term unit columns and strips unit pivots
+sparsely first, and runs that loop on the small residue, and smith_form(transforms=True) runs it on the whole
 matrix with its transforms. The same loop gives canonical lattice bases,
 and through the graph lattice {(a x, x)} integer kernels, exact solving and
 unimodular inverses.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, PivotPolicy, SparseEliminator
+from .matrix import Matrix, PivotPolicy, contract_unit_pairs
 from .rings import ZZ, IntegerRing
 
 
@@ -68,9 +68,10 @@ class _UnitPivots(PivotPolicy):
 
 
 def _strip_unit_pivots(m: Matrix) -> tuple[int, list[dict[int, int]]]:
-    """Eliminate with +-1 pivots sparsely; return (#unit factors, residue rows)."""
-    elim = SparseEliminator(m.nonzero_rows(), _UnitPivots())
-    ones = elim.run()
+    """Merge two-term unit columns, then eliminate the rest with +-1 pivots
+    sparsely; return (#unit factors, residue rows)."""
+    merges, elim = contract_unit_pairs(m.nonzero_rows(), _UnitPivots())
+    ones = merges + elim.run()
     return ones, list(elim.rows.values())
 
 

@@ -22,6 +22,13 @@ def test_monomial_counts():
     assert monomials(MultiIndex(1, (0,)), 0) == [((),)]
 
 
+@pytest.mark.parametrize("entry", [ideal_matrix, coinvariant_module,
+                                   invariant_basis, coinvariant_dim])
+def test_negative_degree_is_refused(entry):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        entry(MultiIndex(1, (1,)), -1, QQ)
+
+
 def test_coinvariant_dim_examples():
     assert coinvariant_dim(MultiIndex(1, (0,)), 5, QQ).dim == 1
     row = coinvariant_dim(MultiIndex(1, (1,)), 3, QQ)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -209,6 +210,20 @@ def test_fit_table_starting_at_ten_to_the_twelfth():
     rep = fit_polynomial(table, 3)
     assert rep.polynomial.coefficients == (0, 0, 1)
     assert (rep.onset, rep.tail_length) == (start + 1, 7)
+
+
+def test_fit_of_a_long_table_holds_one_difference_row():
+    # the whole difference pyramid of 20,000 rows would be 2 * 10^8 integers
+    table = DimensionTable(QQ, 0, [3 * n + 1 for n in range(20_000)])
+    tracemalloc.start()
+    try:
+        rep = fit_polynomial(table, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep == FitReport(IntegerValuedPolynomial((1, 3)), 0, 20_000,
+                            "certified-on-window")
+    assert peak < 4 * 2 ** 20
 
 
 def test_tail_equal_examples():

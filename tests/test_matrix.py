@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fimod.arnold import ArnoldModule
+from fimod.arnold import ArnoldModule, arnold_presentation
 from fimod.coinvariants import MultiIndex, ideal_matrix
 from fimod.matrix import (FieldReducer, Matrix, PivotPolicy,
-                          SparseEliminator, block_diagonal, field_in_span,
+                          SparseEliminator, block_diagonal,
+                          contract_unit_pairs, field_in_span,
                           field_kernel_basis, field_rref, hstack, vstack)
 from fimod.rings import GF, QQ, ZZ
 from fimod.smith import invariant_factors
@@ -407,6 +408,136 @@ def test_eliminator_agrees_with_dense_references(rows):
         dense_rref_reference(rows, 5)
     assert invariant_factors(sparse_matrix(ZZ, rows)) == \
         dense_snf_reference(rows)
+
+
+# ---------------------------------------------------------------------------
+# the unit-pair contraction in front of rank and unit stripping
+
+def signed_graph_rows(seed, nodes, edges, extra):
+    """Dense integer rows of a seeded signed-graph incidence matrix: `edges`
+    columns with +-1 at two random rows, then `extra` columns of one to four
+    entries from (1, -1, 2, -2, 3), shuffled."""
+    rng = random.Random(seed)
+    cols = [{a: rng.choice((1, -1)), b: rng.choice((1, -1))}
+            for a, b in (rng.sample(range(nodes), 2) for _ in range(edges))]
+    for _ in range(extra):
+        picked = rng.sample(range(nodes), rng.randint(1, min(4, nodes)))
+        cols.append({i: rng.choice((1, -1, 2, -2, 3)) for i in picked})
+    rng.shuffle(cols)
+    return [[col.get(i, 0) for col in cols] for i in range(nodes)]
+
+
+def _cycle_rows(signs):
+    """The cycle 0 - 1 - ... - 0 with column k = e_k + s_k e_(k+1): balanced
+    (a same-root pair of value 0) when the product of -s_k is 1, else
+    unbalanced (value +-2)."""
+    n = len(signs)
+    return [[1 if i == k else s if i == (k + 1) % n else 0
+             for k, s in enumerate(signs)] for i in range(n)]
+
+
+def _contraction_inputs():
+    inputs = {
+        "balanced-triangle": _cycle_rows([-1, -1, -1]),
+        "unbalanced-triangle": _cycle_rows([1, 1, 1]),
+        "unbalanced-square": _cycle_rows([1, -1, -1, -1]),
+        "balanced-square": _cycle_rows([1, 1, -1, -1]),
+        # (2, -1) and (3, 1) are two-term columns that must not merge
+        "non-unit-pairs": [[2, 1, 1, 0], [-1, 0, -1, 3], [0, 1, 0, 1]],
+        "singletons": [[1, 0, 0, 2], [0, -1, 0, 0], [0, 0, 0, 0]],
+        "zero": [[0] * 4 for _ in range(3)],
+        # two triangles joined at a node, one a torsion 2, plus a 2-column
+        "bowtie": [[1, 1, 0, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0, 0],
+                   [0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 1, -1, -1, 2],
+                   [0, 0, 0, -1, 0, 0, 0]],
+    }
+    for seed, (nodes, edges, extra) in enumerate(
+            [(6, 8, 0), (10, 9, 3), (12, 20, 4), (20, 18, 6), (25, 40, 8),
+             (40, 30, 12), (30, 60, 2), (50, 45, 15)]):
+        inputs[f"signed-graph-{seed}"] = signed_graph_rows(seed, nodes, edges,
+                                                           extra)
+    return inputs
+
+
+CONTRACTION_INPUTS = _contraction_inputs()
+
+
+@pytest.mark.parametrize("label", sorted(CONTRACTION_INPUTS))
+@pytest.mark.parametrize("transposed", [False, True])
+def test_contracted_rank_and_factors_match_dense_references(label, transposed):
+    rows = CONTRACTION_INPUTS[label]
+    if transposed:
+        rows = [list(col) for col in zip(*rows)]
+    expect = dense_rank_reference(rows)
+    assert sparse_matrix(QQ, rows).rank() == expect
+    assert sparse_matrix(ZZ, rows).rank() == expect
+    for p in (2, 3, 5):
+        assert sparse_matrix(GF(p), rows).rank() == \
+            dense_rank_reference_mod_p(rows, p)
+    assert invariant_factors(sparse_matrix(ZZ, rows)) == \
+        dense_snf_reference(rows)
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_contraction_on_many_small_signed_graphs(chunk):
+    """Deeper union-find trees, whose compressed paths are read again."""
+    for seed in range(100 * chunk, 100 * chunk + 100):
+        rng = random.Random(seed)
+        nodes = rng.randint(8, 30)
+        rows = signed_graph_rows(1000 + seed, nodes,
+                                 rng.randint(nodes // 2, 2 * nodes),
+                                 rng.randint(0, 4))
+        assert sparse_matrix(GF(3), rows).rank() == \
+            dense_rank_reference_mod_p(rows, 3), seed
+        assert invariant_factors(sparse_matrix(ZZ, rows)) == \
+            dense_snf_reference(rows), seed
+
+
+def test_same_root_pairs_give_zero_or_two():
+    balanced = sparse_matrix(ZZ, CONTRACTION_INPUTS["balanced-triangle"])
+    unbalanced = sparse_matrix(ZZ, CONTRACTION_INPUTS["unbalanced-triangle"])
+    assert invariant_factors(balanced) == [1, 1]
+    assert invariant_factors(unbalanced) == [1, 1, 2]
+    assert unbalanced.rank() == 3
+    assert sparse_matrix(GF(2), CONTRACTION_INPUTS["unbalanced-triangle"]) \
+        .rank() == 2
+    assert sparse_matrix(GF(3), CONTRACTION_INPUTS["unbalanced-triangle"]) \
+        .rank() == 3
+
+
+def test_rational_non_unit_pairs_do_not_merge():
+    half = Fraction(1, 2)
+    rows = [[half, 1, 2, 0], [1, 0, -1, Fraction(-1, 3)], [0, -1, 0, 1]]
+    m = sparse_matrix(QQ, rows)
+    merges, elim = contract_unit_pairs(m.nonzero_rows(), PivotPolicy())
+    assert merges == 1            # only column 1, (1, -1), is a unit pair
+    assert m.rank() == dense_rank_reference(rows)
+    assert m.transpose().rank() == \
+        dense_rank_reference([list(c) for c in zip(*rows)])
+
+
+class _Mod3(PivotPolicy):
+    p = 3
+
+
+def test_contraction_on_the_arnold_presentation_slice():
+    """The n=7 slice of the Arnold m=2 presentation (3150 x 9030) merges
+    2940 rows and leaves a 105 x 210 residue, over Q and over F3."""
+    for ring, policy in ((QQ, PivotPolicy()), (GF(3), _Mod3())):
+        rel = arnold_presentation(2, ring).slice_module(7).relations
+        merges, elim = contract_unit_pairs(rel.nonzero_rows(), policy)
+        assert (merges, len(elim.rows), len(elim.cols)) == (2940, 105, 210)
+        residue = Matrix(ring, rel.nrows, rel.ncols,
+                         {(i, j): v for i, row in elim.rows.items()
+                          for j, v in row.items()})
+        assert merges + residue.rank() == rel.rank() == 2975
+
+
+def test_pair_free_matrix_keeps_its_rows():
+    # columns (2, 1, 0), (1, 2, 1) and (1, 1, 1): no two-term unit column
+    rows = sparse_matrix(ZZ, [[2, 1, 1], [1, 2, 1], [0, 1, 1]]).nonzero_rows()
+    merges, elim = contract_unit_pairs(rows, PivotPolicy())
+    assert merges == 0 and elim.rows is rows
 
 
 def assert_canonical(m: Matrix):

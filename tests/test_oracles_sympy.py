@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 from fimod.matrix import Matrix  # noqa: E402
 from fimod.rings import QQ, ZZ  # noqa: E402
 from fimod.smith import invariant_factors  # noqa: E402
+from tests.test_matrix import signed_graph_rows  # noqa: E402
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -36,3 +37,16 @@ def test_rank_against_sympy(seed):
         theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                                 for x in row] for row in rows]).rank()
         assert ours == theirs, rows
+
+
+def test_contracted_signed_graph_against_sympy():
+    """A signed-graph incidence matrix with extra columns: most columns are
+    two-term +-1 pairs that merge before elimination, and cycles whose pair
+    closes on one root leave 0 or 2."""
+    rows = signed_graph_rows(16, 14, 14, 3)   # factors: ten 1s and a 2
+    ours = invariant_factors(Matrix.from_rows(ZZ, rows))
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    theirs = sorted(abs(int(snf[i, i]))
+                    for i in range(min(snf.shape)) if snf[i, i] != 0)
+    assert sorted(ours) == theirs
+    assert Matrix.from_rows(QQ, rows).rank() == sympy.Matrix(rows).rank()
