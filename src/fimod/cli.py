@@ -29,7 +29,6 @@ from .injections import Injection
 from .modules import is_isomorphism
 from .presentations import FIPresentation
 from .rings import GF, QQ, IntegerRing, parse_ring
-from .selftest import EXCLUSION_NOTE, run_selftest
 
 
 class UsageError(Exception):
@@ -196,7 +195,7 @@ def _maybe_write(path: str | None, text: str, report: Report, label: str):
 # commands
 
 def cmd_eval(args) -> Report:
-    p = _load_presentation(args.module, args.ring)
+    p = _load_presentation(args.module, args.ring).reduced()
     lo, hi = _parse_range(args.n)
     rep = Report("eval", {"module": args.module, "n": args.n,
                           "ring": p.ring.name})
@@ -300,7 +299,7 @@ def cmd_saturate(args) -> Report:
 
 def cmd_homology(args) -> Report:
     _require_degree(args.n)
-    p = _load_presentation(args.module, args.ring)
+    p = _load_presentation(args.module, args.ring).reduced()
     positions = _integers("--positions", args.positions) \
         if args.positions else None
     primes = _default_primes()
@@ -466,6 +465,8 @@ def cmd_tail_equal(args) -> Report:
 
 
 def cmd_selftest(args) -> Report:
+    # imported here: no other command needs the suite or its sampling
+    from .selftest import EXCLUSION_NOTE, run_selftest
     rep = Report("selftest", {"seed": args.seed}, seed=args.seed)
     for result in run_selftest(args.seed):
         rep.check(result.tag, result.status, result.detail)

@@ -17,6 +17,29 @@ row, and the coefficients were coerced and cleared of zeros when the
 presentation was built. The entries are therefore written as they are,
 with nothing to merge, drop or coerce (`Matrix.canonical`). Induced maps
 compose image tuples the same way.
+
+`reduced()` returns a presentation of an isomorphic module with fewer
+generators and relations; `eval` and `homology` read it, since they print
+only isomorphism invariants. A Tietze move takes a relation r of degree s
+with a term c·(g, σ) where deg g = s, so σ is a bijection of [s], and g is
+in no other term of r. In the module c·(g, σ) = -Σ_t c_t (g_t, f_t) over
+the other terms, so (g, id) = -c⁻¹ Σ_t c_t (g_t, σ⁻¹∘f_t), and (g, h) is
+that pushed forward along h. Substituting it into every other relation and
+dropping r and g presents the same module: the FI-maps that send g to that
+expression and back to (g, id) are mutually inverse, because r is exactly
+what makes them agree. Only relations whose coefficients are all ±1 (1 or
+p-1 over F_p) serve as pivots. A pivot c = ±1 makes the move an
+isomorphism over Z, hence over every ring by base change, so one reduced
+integer document stays valid when `homology` re-reads it over Q and F_p.
+The other ±1 coefficients make every substituted coefficient ±1, so
+coefficients grow only where substituted terms collide; without that rule
+the m = 3 Arnold document written over F3 and read over Z reached
+coefficients of 2,048. Then a relation that became zero, or that equals a
+kept relation of the same degree e up to S_e and sign, is dropped. The key
+holds e: 2·(g, [1]->[2]) relabels to the term list of 2·(g, [1]), but the
+two lie in different degrees and span different submodules. Relations
+keep their order and the pivot is the first qualifying term in
+`canonical_terms()` order, so the result is deterministic.
 """
 from __future__ import annotations
 
@@ -24,7 +47,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 from .injections import Injection, count_injections, enumerate_injections
 from .matrix import Matrix
@@ -94,6 +117,7 @@ class SliceModule:
 
 
 _slice_cache: dict = {}
+_ORBIT_TRIES = 720                  # relabelings per relation key (6!)
 
 
 class FIPresentation:
@@ -120,6 +144,7 @@ class FIPresentation:
                 r.degree, {k: v for k, v in canon.items() if v}))
         self.relations = tuple(rels)
         self._hash = None
+        self._reduced = None
 
     # -- identity ---------------------------------------------------------
     def content_hash(self) -> str:
@@ -188,6 +213,16 @@ class FIPresentation:
         """Ambient rank of the degree-n slice (no relations counted)."""
         return sum(count_injections(d, n) for d in self.generator_degrees)
 
+    # -- reduction ----------------------------------------------------------
+    def reduced(self) -> "FIPresentation":
+        """A presentation of an isomorphic FI-module, reduced by Tietze
+        moves and duplicate relations (module docstring), or `self` when
+        nothing reduces. Computed once per instance."""
+        if self._reduced is None:
+            self._reduced = _reduce(self)
+            self._reduced._reduced = self._reduced
+        return self._reduced
+
     # -- serialization ------------------------------------------------------
     def to_document(self) -> dict:
         rels = []
@@ -243,6 +278,114 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _reduce(p: FIPresentation) -> FIPresentation:
+    """Tietze elimination, then dropping zero and repeated relations.
+
+    Relations are worked on as (degree, {(gen, images): coeff}) with
+    1-based image tuples; an eliminated relation becomes None."""
+    mod, degrees = p.ring.p, p.generator_degrees
+    units = {1, mod - 1} if mod else {1, -1}
+    rels = [(r.degree, {(g, f.images): c for (g, f), c in r.terms.items()})
+            for r in p.relations]
+    eliminated = set()
+    start = 0          # relations before it have no pivot and did not change
+    while True:
+        for j in range(start, len(rels)):
+            pivot = rels[j] and _pivot(*rels[j], degrees, units)
+            if pivot:
+                break
+        else:
+            break
+        g, sigma = pivot
+        terms = rels[j][1]
+        c = terms.pop((g, sigma))
+        inv = [0] * len(sigma)
+        for k, v in enumerate(sigma):
+            inv[v - 1] = k + 1
+        # (g, id) = -c * sum_t c_t (g_t, sigma^-1 . f_t), as c = 1/c
+        sub = [(gt, tuple([inv[v - 1] for v in ft]),
+                (-c * ct) % mod if mod else -c * ct)
+               for (gt, ft), ct in terms.items()]
+        rels[j] = None
+        eliminated.add(g)
+        start = j
+        for i, rel in enumerate(rels):
+            hits = rel and [key for key in rel[1] if key[0] == g]
+            if not hits:
+                continue
+            start = min(start, i)
+            t = rel[1]
+            for key in hits:
+                a, h = t.pop(key), key[1]
+                for gt, tau, ct in sub:
+                    k2 = (gt, tuple([h[v - 1] for v in tau]))
+                    v = t.get(k2, 0) + a * ct
+                    if mod:
+                        v %= mod
+                    if v:
+                        t[k2] = v
+                    else:
+                        del t[k2]
+    kept, seen = [], set()
+    for rel in rels:
+        if rel and rel[1]:
+            key = _orbit_key(*rel, mod)
+            if key not in seen:
+                seen.add(key)
+                kept.append(rel)
+    if not eliminated and len(kept) == len(p.relations):
+        return p
+    left = [g for g in range(len(degrees)) if g not in eliminated]
+    renumber = {g: i for i, g in enumerate(left)}
+    return FIPresentation(p.ring, [degrees[g] for g in left], [
+        FreeElement(e, {(renumber[g], Injection(degrees[g], e, images)): c
+                        for (g, images), c in t.items()})
+        for e, t in kept])
+
+
+def _pivot(e: int, terms: dict, degrees: tuple, units: set):
+    """The first (gen, images) in canonical order that a Tietze move may
+    eliminate from this relation, or None: every coefficient is ±1, the
+    generator has the relation's degree and occurs in no other term."""
+    if not all(c in units for c in terms.values()):
+        return None
+    count: dict = {}
+    for g, _ in terms:
+        count[g] = count.get(g, 0) + 1
+    for g, images in sorted(terms):
+        if degrees[g] == e and count[g] == 1:
+            return g, images
+    return None
+
+
+def _orbit_key(e: int, terms: dict, mod: int) -> tuple:
+    """A key of a degree-e relation's orbit under S_e and sign: e and the
+    least sorted term list over relabelings and both signs. Each key is
+    one relabeled, signed copy of the relation, so equal keys mean equal
+    orbits.
+
+    Only the set U of values the images take matters, and the least list
+    numbers it 1..|U|: renumbering U in order never raises a list. The
+    least list starts with the least generator g0 at images (1..d), so
+    only the orderings of U that put a term of g0 first are tried, and at
+    most _ORBIT_TRIES of them. Past that the key may miss a repeat, which
+    then stays, but it never joins two orbits."""
+    negated = {k: (-c) % mod if mod else -c for k, c in terms.items()}
+    used = sorted({v for _, images in terms for v in images})
+    g0 = min(g for g, _ in terms)
+    orders = (first + tail for g, first in sorted(terms) if g == g0
+              for tail in permutations([v for v in used if v not in first]))
+    best = None
+    for order in islice(orders, _ORBIT_TRIES):
+        sigma = dict(zip(order, range(1, len(order) + 1)))
+        for t in (terms, negated):
+            cand = sorted((h, tuple([sigma[v] for v in images]), c)
+                          for (h, images), c in t.items())
+            if best is None or cand < best:
+                best = cand
+    return e, tuple(best)
 
 
 def free_presentation(ring: RingSpec, *degrees: int) -> FIPresentation:

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fimod import presentations
 from fimod.arnold import arnold_presentation
 from fimod.functors import shift_presentation
 from fimod.injections import (Injection, enumerate_injections,
@@ -246,3 +249,152 @@ def test_shift_slices_match_pushforward_reference():
     for ring in (QQ, ZZ):
         p = shift_presentation(instantiate(struct, ring), 1)
         assert_slices_match_references(p, 4, random.Random(13))
+
+
+# ---------------------------------------------------------------------------
+# reduction by Tietze moves: reduced() against the original presentation
+
+REDUCTION_RINGS = [ZZ, GF(2), GF(3), QQ]
+
+
+@pytest.fixture
+def scoped_slice_cache():
+    """Forget the slices a test builds, so large ones do not stay cached
+    for the rest of the session."""
+    before = dict(presentations._slice_cache)
+    yield
+    presentations._slice_cache.clear()
+    presentations._slice_cache.update(before)
+
+
+@pytest.mark.parametrize("ring", REDUCTION_RINGS)
+@pytest.mark.parametrize("seed", range(8))
+def test_reduced_slices_match_original(seed, ring):
+    for struct in seeded_structures(seed, 20):
+        p = instantiate(struct, ring)
+        r = p.reduced()
+        for n in range(6):
+            assert r.slice_module(n).invariants() == \
+                p.slice_module(n).invariants(), (struct, n)
+
+
+@pytest.mark.parametrize("ring", REDUCTION_RINGS)
+@pytest.mark.parametrize("m, shape", [
+    (1, ((2,), 1)), (2, ((3, 4), 5)), (3, ((4, 5, 6), 12))])
+def test_reduced_arnold_slices_match_original(m, shape, ring,
+                                              scoped_slice_cache):
+    p = arnold_presentation(m, ring)
+    r = p.reduced()
+    assert (r.generator_degrees, len(r.relations)) == shape
+    for n in range(7):
+        assert r.slice_module(n).invariants() == \
+            p.slice_module(n).invariants(), n
+
+
+def test_reduction_substitutes_along_the_inverse_bijection():
+    """g0 . (2 1) + g1 = 0 eliminates g0 = -(g1, (2 1)), so 2 (g0, (1 3))
+    becomes -2 (g1, (1 3) . (2 1)) = -2 (g1, (3 1))."""
+    p = FIPresentation(ZZ, [2, 2], [
+        FreeElement(2, {(0, Injection(2, 2, (2, 1))): 1,
+                        (1, Injection(2, 2, (1, 2))): 1}),
+        FreeElement(3, {(0, Injection(2, 3, (1, 3))): 2})])
+    r = p.reduced()
+    assert r.generator_degrees == (2,)
+    assert [rel.canonical_terms() for rel in r.relations] == \
+        [[(0, (3, 1), -2)]]
+
+
+def test_reduction_drops_zero_and_repeated_relations():
+    """A relation equal to a kept one up to S_e and sign goes; one of
+    another degree stays, whatever its terms read as."""
+    rels = [FreeElement(1, {(0, Injection(1, 1, (1,))): 2}),
+            FreeElement(2, {(0, Injection(1, 2, (2,))): 2}),
+            FreeElement(2, {(0, Injection(1, 2, (1,))): -2}),
+            FreeElement(2, {})]
+    r = FIPresentation(ZZ, [1], rels).reduced()
+    assert [rel.canonical_terms() for rel in r.relations] == \
+        [[(0, (1,), 2)], [(0, (2,), 2)]]
+
+
+def test_relation_keys_stay_cheap_on_symmetric_relations():
+    """A sum over all 12 points would need 12! relabelings for an exact
+    key; the bounded search still finds the negated copy."""
+    def spread(c):
+        terms = {(1, Injection(1, 12, (i,))): c for i in range(1, 13)}
+        terms[(0, Injection(0, 12, ()))] = 2 * c
+        return FreeElement(12, terms)
+    p = FIPresentation(ZZ, [0, 1], [spread(1), spread(-1), spread(3)])
+    assert [len(rel.terms) for rel in p.reduced().relations] == [13, 13]
+
+
+def test_reduced_is_deterministic_and_idempotent():
+    docs = [arnold_presentation(m, ZZ).to_document() for m in (2, 3)]
+    docs += [instantiate(s, GF(3)).to_document()
+             for s in seeded_structures(3, 20)]
+    for doc in docs:
+        r = FIPresentation.from_document(doc).reduced()
+        # the terms of a relation are a set: their order must not matter
+        flipped = dict(doc, relations=[dict(rel, terms=rel["terms"][::-1])
+                                       for rel in doc["relations"]])
+        assert FIPresentation.from_document(flipped).reduced().dumps() == \
+            r.dumps()
+        assert r.reduced() is r
+        again = FIPresentation.loads(r.dumps())
+        assert again.reduced() is again
+
+
+def test_nothing_to_reduce_returns_self():
+    for p in (free_presentation(QQ, 2), free_presentation(ZZ, 0, 1),
+              torsion_module(ZZ), arnold_presentation(1, GF(3))):
+        assert p.reduced() is p
+
+
+# ---------------------------------------------------------------------------
+# one integer presentation over Z, Q and F_p
+
+@st.composite
+def integer_structures(draw):
+    """Up to 3 generators and relations of degree <= 3, integer terms."""
+    degrees = tuple(draw(st.lists(st.integers(0, 3), min_size=1,
+                                  max_size=3)))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.integers(min(degrees), 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            g = draw(st.integers(0, len(degrees) - 1))
+            if degrees[g] <= e:
+                images = draw(st.permutations(range(1, e + 1)))
+                terms[(g, tuple(images[:degrees[g]]))] = draw(
+                    st.sampled_from([-1, 1, 2, -2, 3, 4, 5, 6, -10]))
+        relations.append((e, terms))
+    return degrees, tuple(relations)
+
+
+CROSS_RING_PRIMES = (2, 3, 5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_structures())
+def test_integer_presentation_agrees_across_rings(struct):
+    """By right exactness of the tensor product, a slice with Z invariants
+    (r; t_1..t_k) has dimension r over Q and r + #{i : p | t_i} over F_p.
+    Checked on the presentation as drawn, on its reduction over each ring,
+    and on its reduction over Z read over each field (as `homology` reads
+    it when slices carry torsion)."""
+    z = instantiate(struct, ZZ)
+    z_doc = z.reduced().to_document()
+    fields = [QQ] + [GF(q) for q in CROSS_RING_PRIMES]
+    readings = [(z, [instantiate(struct, k) for k in fields]),
+                (z.reduced(), [instantiate(struct, k).reduced()
+                               for k in fields]),
+                (z.reduced(), [FIPresentation.from_document(z_doc, ring=k)
+                               for k in fields])]
+    for n in range(5):
+        for zp, over in readings:
+            inv = zp.slice_module(n).invariants()
+            expected = [inv.free_rank] + [
+                inv.free_rank + sum(1 for t in inv.torsion if t % q == 0)
+                for q in CROSS_RING_PRIMES]
+            assert [f.slice_module(n).invariants().free_rank
+                    for f in over] == expected, n
