@@ -18,14 +18,28 @@ identification pairs a generator moved by a transposition, never the
 identity, with an unmoved one. The slice relations and induced matrices
 therefore write the ring's own +-1 through `Matrix.canonical`, and the
 presentation's relations list each term once.
+
+Slices split by vertex support, so tables need only a few small ranks.
+Every term of the triangle relation on (i, j, k) wedged with `extra` lives
+on the same vertex set, {i, j, k} together with the vertices of `extra`;
+the relation matrix of slice n is block diagonal over the supports
+S of [n]. Relabeling along the order-preserving bijection [s] -> S, s = |S|,
+keeps the lexicographic order of edges and so every `_sort_sign` sign: it
+carries the full-support summand B_s of slice s (edge-sets touching all of
+[s], and their relations) onto the block of S. Slice n is therefore the
+direct sum of C(n, s) copies of B_s over s <= n, and B_s = 0 for s > 2m,
+since m edges touch at most 2m vertices (the FI#-decomposition of
+Church-Ellenberg-Farb). `slice_invariants` reads each B_s off
+`slice_module(s)` and adds up the copies.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .injections import Injection, identity_injection
 from .matrix import Matrix
-from .modules import ModuleMap, PresentedModule
+from .modules import Invariants, ModuleMap, PresentedModule, direct_sum
 from .presentations import FIPresentation, FreeElement
 from .rings import RingSpec
 
@@ -77,6 +91,7 @@ class ArnoldModule:
         self.ring = ring
         self._slices: dict[int, PresentedModule] = {}
         self._bases: dict[int, dict] = {}
+        self._summands: dict[int, Invariants] = {}
         self._signs = {1: ring.one, -1: ring.coerce(-1)}
 
     def slice_basis(self, n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -106,6 +121,35 @@ class ArnoldModule:
         sm = PresentedModule(self.ring, len(index), relmat)
         self._slices[n] = sm
         return sm
+
+    def slice_invariants(self, n: int) -> Invariants:
+        """Invariants of slice n: C(n, s) copies of each full-support
+        summand B_s, s <= min(n, 2m)."""
+        if n < 0:
+            raise ValueError("degree must be >= 0")
+        return direct_sum((math.comb(n, s), self._summand_invariants(s))
+                          for s in range(min(n, 2 * self.m) + 1))
+
+    def _summand_invariants(self, s: int) -> Invariants:
+        """Invariants of B_s: the rows of slice s whose edge-sets touch all
+        of [s], and the relation columns on them."""
+        if s not in self._summands:
+            full = tuple(range(1, s + 1))
+            rows = {}
+            for es, k in self._basis_index(s).items():
+                if _support(es) == full:
+                    rows[k] = len(rows)
+            cols: dict[int, int] = {}
+            ent = {}
+            # a relation's terms share one support, so each column lies
+            # wholly inside B_s or wholly outside it
+            for (i, j), v in self.slice_module(s).relations.entries.items():
+                if i in rows:
+                    ent[(rows[i], cols.setdefault(j, len(cols)))] = v
+            relmat = Matrix.canonical(self.ring, len(rows), len(cols), ent)
+            self._summands[s] = PresentedModule(
+                self.ring, len(rows), relmat).invariants()
+        return self._summands[s]
 
     def induced_matrix(self, f: Injection) -> Matrix:
         """Relabel every edge-set along f, with the re-sorting sign."""

@@ -21,8 +21,8 @@ from .coinvariants import (MultiIndex, coinvariant_dual_map,
 from .complexes import (check_inductive, complex_homology, find_N,
                         homology_field_table, poset_colimit,
                         verify_chain_homotopy)
-from .dimensions import DimensionTable, dimension_table, \
-    fit_polynomial, tail_equal
+from .dimensions import (DimensionTable, dimension_table, fit_polynomial,
+                         invariants_table, tail_equal)
 from .functors import (derivative, generation_degree, saturate,
                        shift_presentation, torsion_slice)
 from .injections import Injection
@@ -437,7 +437,8 @@ def cmd_arnold(args) -> Report:
     ring = parse_ring(args.ring)
     lo, hi = _parse_range(args.n)
     rep = Report("arnold", {"m": args.m, "n": args.n, "ring": ring.name})
-    table = dimension_table(ArnoldModule(args.m, ring), lo, hi)
+    table = invariants_table(ring, lo, hi,
+                             ArnoldModule(args.m, ring).slice_invariants)
     rep.block("table", table.to_csv())
     if args.fit:
         _fit_table(rep, table, args.min_tail)

@@ -142,16 +142,20 @@ class DimensionTable:
 
 def dimension_table(p, n_start: int, n_end: int) -> DimensionTable:
     """Slice invariants of a presentation over a contiguous degree range."""
+    return invariants_table(p.ring, n_start, n_end,
+                            lambda n: p.slice_module(n).invariants())
+
+
+def invariants_table(ring: RingSpec, n_start: int, n_end: int,
+                     invariants) -> DimensionTable:
+    """The table of `invariants(n)` over a contiguous degree range: free
+    ranks over a field, whole Invariants over Z."""
     if n_end < n_start:
         raise ValueError("empty degree range")
-    values = []
-    for n in range(n_start, n_end + 1):
-        inv = p.slice_module(n).invariants()
-        if p.ring.is_field:
-            values.append(inv.free_rank)
-        else:
-            values.append(inv)
-    return DimensionTable(p.ring, n_start, values)
+    values = [invariants(n) for n in range(n_start, n_end + 1)]
+    if ring.is_field:
+        values = [inv.free_rank for inv in values]
+    return DimensionTable(ring, n_start, values)
 
 
 def finite_difference(table: DimensionTable) -> DimensionTable:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .matrix import (FieldReducer, Matrix, field_in_span, field_kernel_basis,
                      hstack)
-from .rings import RingSpec
+from .rings import ZZ, RingSpec
 from .smith import (IntegerSolver, integer_in_span, integer_kernel_basis,
                     invariant_factors, lattice_canonical)
 
@@ -42,6 +42,25 @@ class Invariants:
         if self.torsion:
             parts.append("torsion (" + ",".join(map(str, self.torsion)) + ")")
         return ", ".join(parts)
+
+
+def direct_sum(parts) -> Invariants:
+    """Invariants of a direct sum, from (copies, Invariants) pairs.
+
+    Free ranks add up. The torsion is the Smith form of the diagonal that
+    repeats each summand's factors `copies` times: for example three copies
+    of Z/2 and one Z/3 give (2, 2, 6).
+    """
+    free, diagonal = 0, []
+    for copies, inv in parts:
+        free += copies * inv.free_rank
+        diagonal += inv.torsion * copies
+    if not diagonal:
+        return Invariants(free)
+    size = len(diagonal)
+    facs = invariant_factors(Matrix.canonical(
+        ZZ, size, size, {(k, k): d for k, d in enumerate(diagonal)}))
+    return Invariants(free, tuple(d for d in facs if d != 1))
 
 
 class PresentedModule:

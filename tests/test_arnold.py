@@ -12,6 +12,7 @@ from fimod.complexes import check_inductive, find_N
 from fimod.dimensions import DimensionTable, fit_polynomial
 from fimod.injections import Injection, identity_injection, standard_inclusion
 from fimod.matrix import Matrix
+from fimod.modules import Invariants
 from fimod.presentations import FIPresentation, FreeElement
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import random_injection
@@ -56,6 +57,38 @@ def test_dimensions_uniform_across_fields():
         dq = arnold_slice(2, n, QQ).dim()
         assert arnold_slice(2, n, GF(2)).dim() == dq
         assert arnold_slice(2, n, GF(3)).dim() == dq
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ])
+@pytest.mark.parametrize("m", range(4))
+def test_slice_invariants_match_whole_slices(m, ring):
+    witness = ArnoldModule(m, ring)
+    for n in range(8):
+        assert witness.slice_invariants(n) == \
+            ArnoldModule(m, ring).slice_module(n).invariants(), n
+
+
+def arnold_product_formula(m: int, n: int) -> int:
+    """The t^m coefficient of (1 + t)(1 + 2t)...(1 + (n-1)t), the rank of
+    H^m(Conf_n(C)) (Arnold 1969)."""
+    coeffs = [1]
+    for k in range(1, n):
+        coeffs = [a + k * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs[m] if m < len(coeffs) else 0
+
+
+@pytest.mark.parametrize("m, top, ring", [(0, 10, QQ), (2, 30, GF(3)),
+                                          (3, 40, ZZ), (4, 20, GF(2))])
+def test_slice_invariants_match_product_formula(m, top, ring):
+    witness = ArnoldModule(m, ring)
+    for n in range(top + 1):
+        assert witness.slice_invariants(n) == \
+            Invariants(arnold_product_formula(m, n)), n
+
+
+def test_slice_invariants_refuse_negative_degree():
+    with pytest.raises(ValueError):
+        ArnoldModule(1, QQ).slice_invariants(-1)
 
 
 def test_induced_map_functoriality_and_well_definedness():

@@ -117,6 +117,15 @@ def test_arnold_command(tmp_path, capsys):
     assert FIPresentation.loads(emit.read_text()).generator_degrees == (2,)
 
 
+def test_arnold_command_at_n_40(capsys):
+    # C(780, 3) edge-sets; the table reads full-support summands s <= 6.
+    # 71,284,200 is the t^3 coefficient of (1 + t)(1 + 2t)...(1 + 39t).
+    code, out = run_cli(capsys, "arnold", "--m", "3", "--n", "40..40",
+                        "--ring", "Z")
+    assert code == 0
+    assert out[out.index("n,free_rank"):].splitlines()[1] == "40,71284200,"
+
+
 def test_tail_equal_command(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

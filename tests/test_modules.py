@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from fimod.matrix import Matrix
+from fimod.matrix import Matrix, block_diagonal
 from fimod.modules import (Invariants, ModuleMap, PresentedModule,
                            SubmoduleOfQuotient, cokernel_invariants,
-                           identity_map, is_isomorphism,
+                           direct_sum, identity_map, is_isomorphism,
                            kernel_subspace_generators)
 from fimod.rings import GF, QQ, ZZ
 
@@ -17,6 +17,38 @@ def test_cokernel_invariant_examples():
     assert cokernel_invariants(free) == Invariants(4)
     quo = PresentedModule(QQ, 3, Matrix.from_rows(QQ, [[1, 0], [0, 1], [1, 1]]))
     assert cokernel_invariants(quo) == Invariants(1)
+
+
+def test_direct_sum_examples():
+    z2, z3 = Invariants(0, (2,)), Invariants(0, (3,))
+    assert direct_sum([(3, z2), (1, z3)]) == Invariants(0, (2, 2, 6))
+    assert direct_sum([(2, Invariants(0, (4,))), (1, Invariants(1, (6,)))]) \
+        == Invariants(1, (2, 4, 12))
+    assert direct_sum([(5, Invariants(2)), (0, z2), (3, Invariants(0))]) \
+        == Invariants(10)
+    assert direct_sum([]) == Invariants(0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_sum_matches_block_diagonal_presentation(seed):
+    # copies of Z^r (+) Z/t_1 (+) ..., presented one block each, against
+    # the Smith form of the whole block-diagonal relation matrix
+    rng = random.Random(seed)
+    parts, blocks = [], []
+    for _ in range(rng.randint(1, 4)):
+        free = rng.randint(0, 2)
+        torsion = sorted(rng.choice((2, 3, 4, 6, 9, 12))
+                         for _ in range(rng.randint(0, 2)))
+        module = PresentedModule(ZZ, free + len(torsion), Matrix(
+            ZZ, free + len(torsion), len(torsion),
+            {(free + k, k): t for k, t in enumerate(torsion)}))
+        inv = module.invariants()
+        copies = rng.randint(0, 3)
+        parts.append((copies, inv))
+        blocks += [module.relations] * copies
+    relations = block_diagonal(ZZ, blocks)
+    whole = PresentedModule(ZZ, relations.nrows, relations)
+    assert direct_sum(parts) == whole.invariants()
 
 
 @pytest.mark.parametrize("seed", range(4))
