@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 
+from .dimensions import DimensionTable, invariants_table
 from .injections import Injection
 from .matrix import FieldReducer, Matrix
-from .modules import PresentedModule
+from .modules import Invariants, PresentedModule
 from .rings import RingSpec
 
 
@@ -211,11 +212,7 @@ def coinvariant_dual_map(spec: MultiIndex, f: Injection, ring: RingSpec) -> Matr
 
 
 def coinvariant_table(spec: MultiIndex, n_start: int, n_end: int,
-                      ring: RingSpec):
+                      ring: RingSpec) -> DimensionTable:
     """DimensionTable of dim R over a contiguous range of n."""
-    from .dimensions import DimensionTable
-    if n_end < n_start:
-        raise ValueError("empty range")
-    values = [coinvariant_dim(spec, n, ring).dim
-              for n in range(n_start, n_end + 1)]
-    return DimensionTable(ring, n_start, values)
+    return invariants_table(ring, n_start, n_end, lambda n: Invariants(
+        coinvariant_dim(spec, n, ring).dim))

@@ -52,14 +52,19 @@ class ShiftDecomposition:
     original: FIPresentation
 
 
+def _splits(d: int, a: int):
+    """Every (T, h): a subset T of [d] and an injection h of T into the a
+    added points, given as its targets in the order of T."""
+    for size in range(0, min(d, a) + 1):
+        for subset in combinations(range(1, d + 1), size):
+            for targets in permutations(range(1, a + 1), size):
+                yield subset, targets
+
+
 def _shift_labels(p: FIPresentation, a: int) -> list[ShiftLabel]:
-    labels = []
-    for i, d in enumerate(p.generator_degrees):
-        for size in range(0, min(d, a) + 1):
-            for subset in combinations(range(1, d + 1), size):
-                for targets in permutations(range(1, a + 1), size):
-                    labels.append(ShiftLabel(i, subset, targets))
-    return labels
+    return [ShiftLabel(i, subset, targets)
+            for i, d in enumerate(p.generator_degrees)
+            for subset, targets in _splits(d, a)]
 
 
 def _decompose_shift_injection(images: tuple[int, ...], base: int):
@@ -76,6 +81,15 @@ def _decompose_shift_injection(images: tuple[int, ...], base: int):
     return subset, targets, rest
 
 
+def _join(d: int, subset, targets, base: int, rest) -> tuple[int, ...]:
+    """The inverse of `_decompose_shift_injection`: images of [d] sending
+    T to base + h and the other positions, in order, through `rest`."""
+    tmap = dict(zip(subset, targets))
+    others = iter(rest)
+    return tuple(base + tmap[k] if k in tmap else next(others)
+                 for k in range(1, d + 1))
+
+
 def shift_decomposition(p: FIPresentation, a: int) -> ShiftDecomposition:
     """Presentation of the positive shift by a, with its summand labels."""
     if a < 0:
@@ -87,35 +101,23 @@ def shift_decomposition(p: FIPresentation, a: int) -> ShiftDecomposition:
     relations = []
     for rel in p.relations:
         e = rel.degree
-        for size in range(0, min(e, a) + 1):
-            for subset in combinations(range(1, e + 1), size):
-                for targets in permutations(range(1, a + 1), size):
-                    m = e - size
-                    # u: [e] -> [m]⊔[added points], the canonical generator
-                    # of this source summand
-                    u_images = []
-                    pos = 0
-                    tmap = dict(zip(subset, targets))
-                    for k in range(1, e + 1):
-                        if k in tmap:
-                            u_images.append(m + tmap[k])
-                        else:
-                            pos += 1
-                            u_images.append(pos)
-                    u = Injection(e, m + a, tuple(u_images))
-                    # (gen, g) -> (label, rest) is injective because u is,
-                    # so the terms stay distinct and nonzero
-                    terms: dict = {}
-                    for (gen, g), coeff in rel.terms.items():
-                        w = u.after(g)
-                        t_sub, t_tar, t_rest = _decompose_shift_injection(
-                            w.images, m)
-                        lab = ShiftLabel(gen, t_sub, t_tar)
-                        d_rest = p.generator_degrees[gen] - len(t_sub)
-                        key = (label_pos[lab], Injection(d_rest, m, t_rest))
-                        terms[key] = coeff
-                    if terms:
-                        relations.append(FreeElement(m, terms))
+        for subset, targets in _splits(e, a):
+            m = e - len(subset)
+            # u: [e] -> [m]⊔[added points], the canonical generator of this
+            # source summand
+            u = Injection(e, m + a,
+                          _join(e, subset, targets, m, range(1, m + 1)))
+            # (gen, g) -> (label, rest) is injective because u is, so the
+            # terms stay distinct and nonzero
+            terms: dict = {}
+            for (gen, g), coeff in rel.terms.items():
+                t_sub, t_tar, t_rest = _decompose_shift_injection(
+                    u.after(g).images, m)
+                lab = ShiftLabel(gen, t_sub, t_tar)
+                d_rest = p.generator_degrees[gen] - len(t_sub)
+                terms[(label_pos[lab], Injection(d_rest, m, t_rest))] = coeff
+            if terms:
+                relations.append(FreeElement(m, terms))
     shifted = FIPresentation(p.ring, gen_degrees, relations)
     return ShiftDecomposition(a, shifted, tuple(labels), p)
 
@@ -137,18 +139,9 @@ def shift_identification(dec: ShiftDecomposition, n: int) -> ModuleMap:
     ent = {}
     for k, (li, g) in enumerate(src.basis):
         lab = dec.labels[li]
-        d = p.generator_degrees[lab.gen]
-        tmap = dict(zip(lab.subset, lab.targets))
-        images = []
-        pos = 0
-        for q in range(1, d + 1):
-            if q in tmap:
-                images.append(n + tmap[q])
-            else:
-                pos += 1
-                images.append(g.images[pos - 1])
-        u = Injection(d, n + a, tuple(images))
-        ent[(tgt.index[(lab.gen, u.images)], k)] = p.ring.one
+        images = _join(p.generator_degrees[lab.gen], lab.subset, lab.targets,
+                       n, g.images)
+        ent[(tgt.index[(lab.gen, images)], k)] = p.ring.one
     mat = Matrix(p.ring, tgt.ambient, src.ambient, ent)
     return ModuleMap(src.module, tgt.module, mat)
 
@@ -265,8 +258,7 @@ class TorsionReport:
 
 def _ascending(spans: list[SubmoduleOfQuotient]) -> bool:
     """Does each span lie in the next? Stops at the first pair that fails."""
-    return all(SubmoduleOfQuotient(nxt.module, prev.generators
-                                   + nxt.generators).same_span_as(nxt)
+    return all(nxt.quotient.kills(prev.generators)
                for prev, nxt in zip(spans, spans[1:]))
 
 

@@ -2,20 +2,20 @@
 
 A PresentedModule is a cokernel: an ambient free module R^r together with a
 relation matrix whose column span is divided out. Maps are given by ambient
-matrices; well-definedness (relations land in relations) is checked by span
-membership on demand. Isomorphism testing uses surjectivity plus equality of
-invariants: a surjection between finitely generated modules with the same
-invariants over a commutative Noetherian ring is an isomorphism.
+matrices. Finitely generated modules over a commutative Noetherian ring are
+Hopfian: a surjection between two with equal invariants is an isomorphism.
+That one rule decides, over Q, F_p and Z alike, isomorphism (a surjection
+with equal invariants), containment (dividing the columns out as well leaves
+the invariants unchanged), and through it well-definedness and equality.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import (FieldReducer, Matrix, field_in_span, field_kernel_basis,
-                     hstack)
+from .matrix import FieldReducer, Matrix, field_kernel_basis, hstack
 from .rings import ZZ, RingSpec
-from .smith import (IntegerSolver, integer_in_span, integer_kernel_basis,
-                    invariant_factors, lattice_canonical)
+from .smith import (IntegerSolver, integer_kernel_basis, invariant_factors,
+                    lattice_canonical)
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,22 @@ class PresentedModule:
             self._free_coords = (coords, section)
         return self._free_coords
 
+    def quotient(self, columns: list[dict]) -> "PresentedModule":
+        """This module with the ambient columns divided out as well."""
+        return PresentedModule(self.ring, self.ambient, hstack([
+            Matrix.from_columns(self.ring, self.ambient, columns),
+            self.relations]))
+
+    def kills(self, columns: list[dict]) -> bool:
+        """Do the ambient columns lie in the relation span? This module
+        surjects onto its quotient by them, so (Hopfian) exactly when that
+        quotient has the same invariants."""
+        return not any(columns) or \
+            self.quotient(columns).invariants() == self.invariants()
+
     def contains(self, column: dict) -> bool:
         """Is the ambient vector zero in the quotient (inside the relations)?"""
-        vec = Matrix.from_columns(self.ring, self.ambient, [column])
-        if self.ring.is_field:
-            return field_in_span(self.relations, vec)
-        return integer_in_span(self.relations, vec)
+        return self.kills([column])
 
     def __repr__(self):
         return (f"PresentedModule({self.ring}, ambient={self.ambient}, "
@@ -175,12 +185,8 @@ class ModuleMap:
 
     def is_well_defined(self) -> bool:
         """Do the mapped source relations land in the target relation span?"""
-        mapped = self.matrix @ self.source.relations
-        if mapped.is_zero():
-            return True
-        if self.ring.is_field:
-            return field_in_span(self.target.relations, mapped)
-        return integer_in_span(self.target.relations, mapped)
+        return self.target.kills(
+            (self.matrix @ self.source.relations).columns())
 
     def is_surjective(self) -> bool:
         stacked = PresentedModule(self.ring, self.target.ambient,
@@ -244,43 +250,34 @@ def kernel_subspace_generators(f: ModuleMap) -> list[dict]:
 
 
 class SubmoduleOfQuotient:
-    """A submodule of a presented quotient, spanned by ambient columns."""
+    """A submodule S of a presented quotient M, spanned by ambient columns,
+    read through `quotient` = M/S, whose invariants are computed once."""
 
     def __init__(self, module: PresentedModule, generators: list[dict]):
         self.module = module
         self.generators = generators
-        self._full = hstack([
-            Matrix.from_columns(module.ring, module.ambient, generators),
-            module.relations,
-        ])
+        self.quotient = module.quotient(generators)
 
     def invariants(self) -> Invariants:
-        """Invariants of the submodule (span + relations) / relations."""
+        """Invariants of S: free ranks subtract along 0 -> S -> M -> M/S -> 0;
+        torsion, only possible if M has some, is read off S presented on a
+        basis of its lattice."""
+        inv = self.module.invariants()
+        free = inv.free_rank - self.quotient.invariants().free_rank
+        if not inv.torsion:
+            return Invariants(free)
         ring = self.module.ring
-        if ring.is_field:
-            return Invariants(self._full.rank() - self.module.relations.rank())
-        basis = lattice_canonical(self._full)
-        if not basis:
-            return Invariants(0)
-        bmat = Matrix(ring, self.module.ambient, len(basis),
-                      {(i, j): v for j, row in enumerate(basis)
-                       for i, v in enumerate(row) if v})
-        solver = IntegerSolver(bmat)
-        rel_cols = []
-        for col in self.module.relations.columns():
-            sol = solver.solve(col)
-            if sol is None:
-                raise RuntimeError("relations escaped their own span")
-            rel_cols.append(sol)
+        basis = lattice_canonical(self.quotient.relations)
+        solver = IntegerSolver(Matrix.from_rows(ring, basis).transpose())
+        rel_cols = [solver.solve(c) for c in self.module.relations.columns()]
+        if None in rel_cols:
+            raise RuntimeError("relations escaped their own span")
         inner = Matrix.from_columns(ring, len(basis), rel_cols)
-        return PresentedModule(ring, len(basis), inner).invariants()
+        return Invariants(free, PresentedModule(ring, len(basis), inner)
+                          .invariants().torsion)
 
     def same_span_as(self, other: "SubmoduleOfQuotient") -> bool:
-        """Equality as submodules (ambient span + relations compared)."""
-        ring = self.module.ring
-        if ring.is_field:
-            ra, rb = self._full.rank(), other._full.rank()
-            if ra != rb:
-                return False
-            return hstack([self._full, other._full]).rank() == ra
-        return lattice_canonical(self._full) == lattice_canonical(other._full)
+        """Equality as submodules A, B of one M: `kills` says B lies in A,
+        and then M/B surjects onto M/A, an isomorphism if invariants agree."""
+        return self.quotient.invariants() == other.quotient.invariants() \
+            and self.quotient.kills(other.generators)

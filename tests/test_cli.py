@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimod import cli
 from fimod.cli import build_parser, main
 from fimod.presentations import FIPresentation, FreeElement, free_presentation
 from fimod.injections import Injection
-from fimod.rings import QQ, ZZ
+from fimod.rings import GF, QQ, ZZ
+from fimod.sampling import instantiate, random_structure
 
 
 @pytest.fixture
@@ -477,3 +482,98 @@ def test_fimod_primes_grammar_exit_code(torsion_file, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("fimod: error: FIMOD_PRIMES: ")
     assert captured.err.count("\n") == 1
+
+
+# -- fuzz: generated documents through eval, homology and shift --------------
+
+FUZZ_COMMANDS = (["eval", "--n", "0..3"], ["homology", "--n", "2"],
+                 ["shift", "--a", "1"])
+# small values only: a large degree is a legitimately large request
+FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(-2, 5),
+    st.sampled_from(["", "Q", "Z", "F2", "F3", "F4", "x", "1/2", "2/0",
+                     "-3", "+1", "1e3", " 1"]))
+FUZZ_JSON = st.recursive(
+    FUZZ_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["ring", "generators", "relations",
+                                         "degree", "terms", "gen",
+                                         "injection", "coeff", "x"]),
+                        inner, max_size=4)),
+    max_leaves=8)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid presentation document with one field respelled (a number
+    or a coefficient string of the same kind), replaced, deleted or
+    extended."""
+    rng = draw(st.randoms(use_true_random=False))
+    ring = draw(st.sampled_from([QQ, ZZ, GF(2), GF(3)]))
+    doc = instantiate(random_structure(rng), ring).to_document()
+    action = draw(st.sampled_from(["respell"] * 3 +
+                                  ["replace", "delete", "append"]))
+    paths = list(_paths(doc))[1:]
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if action == "respell" and type(value) in (int, str):
+        parent[path[-1]] = draw(st.integers(-1, 4) if type(value) is int else
+                                st.sampled_from(["0", "-1", "2", "3", "6",
+                                                 "1/2", "2/3", "-4"]))
+    elif action == "delete":
+        del parent[path[-1]]
+    elif action == "append" and isinstance(value, list):
+        value.append(draw(FUZZ_JSON))
+    else:
+        parent[path[-1]] = draw(FUZZ_JSON)
+    return doc
+
+
+def _check_fuzzed(doc, directory):
+    """Every command exits 0 with a report or 3 with one stderr line, and a
+    document that loads survives a dumps/loads round trip."""
+    path = directory / "fuzz.fim"
+    path.write_text(json.dumps(doc))
+    try:
+        p = FIPresentation.from_document(doc)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            OverflowError):
+        p = None
+    if p is not None:
+        assert FIPresentation.loads(p.dumps()) == p
+    for command in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--module", str(path), *command[1:]])
+        if code == 0:
+            assert out.getvalue().endswith("status: pass\n") and \
+                not err.getvalue(), command
+        else:
+            assert code == 3, (command, err.getvalue())
+            assert err.getvalue().count("\n") == 1, command
+            assert err.getvalue().startswith("fimod: error: "), command
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_documents())
+def test_fuzzed_valid_documents_keep_exit_contract(tmp_path_factory, doc):
+    _check_fuzzed(doc, tmp_path_factory.mktemp("fuzz"))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(FUZZ_JSON)
+def test_fuzzed_arbitrary_json_keeps_exit_contract(tmp_path_factory, doc):
+    _check_fuzzed(doc, tmp_path_factory.mktemp("fuzz"))

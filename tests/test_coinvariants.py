@@ -80,6 +80,8 @@ def test_table_examples():
     assert t.values == [0, 1, 2, 3, 4, 5, 6, 7]
     t0 = coinvariant_table(MultiIndex(1, (0,)), 1, 6, QQ)
     assert t0.values == [1] * 6
+    with pytest.raises(ValueError, match="empty degree range"):
+        coinvariant_table(MultiIndex(1, (1,)), 3, 2, QQ)
 
 
 # -- the kernel route invariant_basis replaced, kept as a reference: the

@@ -15,6 +15,8 @@ from fimod.modules import (PresentedModule, SubmoduleOfQuotient,
 from fimod.presentations import FIPresentation, FreeElement, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, seeded_structures
+from fimod.smith import integer_in_span, lattice_canonical
+from tests.test_modules import _kernel_presentation
 from tests.test_presentations import torsion_module
 
 
@@ -207,6 +209,74 @@ def test_torsion_of_handmade_module():
     assert rep0.stabilized
     rep2 = torsion_slice(t, 2, 3)
     assert all(inv.is_zero for inv in rep2.invariants)
+
+
+def _z_lattice(span):
+    """Reference: Hermite basis of the generators plus the relations."""
+    module = span.module
+    return lattice_canonical(Matrix.from_columns(
+        ZZ, module.ambient, span.generators + module.relations.columns()))
+
+
+def _z_reference(spans):
+    """Reference invariants and ascending flag of a chain of spans over Z:
+    the kernel presentation and the integer solver."""
+    invariants = [_kernel_presentation(ZZ, s.module.ambient,
+                                       s.module.relations.columns(),
+                                       s.generators) for s in spans]
+    ascending = all(integer_in_span(
+        Matrix.from_columns(ZZ, nxt.module.ambient, nxt.generators +
+                            nxt.module.relations.columns()),
+        Matrix.from_columns(ZZ, prev.module.ambient, prev.generators))
+        for prev, nxt in zip(spans, spans[1:]))
+    return invariants, ascending
+
+
+def _check_torsion_over_z(rep):
+    assert (rep.invariants, rep.ascending) == _z_reference(rep.kernels)
+    last = [_z_lattice(k) for k in rep.kernels[-3:]]
+    assert rep.stabilized == (len(last) == 3 and len(set(last)) == 1)
+
+
+def test_torsion_kernels_with_torsion_over_z():
+    """Z/8 in degree 0 becomes Z/4 from degree 1 and Z/2 from degree 3, so
+    the kernels from degree 0 are Z/2, Z/2, Z/4, Z/4, Z/4."""
+    y = [(8, 0), (4, 1), (2, 3)]
+    p = FIPresentation(ZZ, [0], [FreeElement(e, {(0, Injection(0, e, ())): c})
+                                 for c, e in y])
+    rep = torsion_slice(p, 0, 4)
+    assert [inv.torsion for inv in rep.invariants] == [(2,), (2,), (4,), (4,)]
+    assert rep.ascending and not rep.stabilized
+    _check_torsion_over_z(rep)
+    assert torsion_slice(p, 0, 5).stabilized
+    seen = 0
+    for struct in seeded_structures(7, 40):
+        q = instantiate(struct, ZZ)
+        for n in range(3):
+            rep = torsion_slice(q, n, 3)
+            _check_torsion_over_z(rep)
+            seen += any(inv.torsion for inv in rep.invariants)
+    assert seen >= 3
+
+
+def test_saturation_stages_differ_from_q_only_by_torsion():
+    """2 x and then 3 x reach the degree-1 slice at stages 1 and 2: over Z
+    stage 1 is 2Z, of index 2, so the chain stabilizes one stage later
+    than over Q, with the same free ranks."""
+    w2 = FreeElement(2, {(0, Injection(1, 2, (1,))): 2})
+    w3 = FreeElement(3, {(0, Injection(1, 3, (1,))): 3})
+    over_q = saturate(1, [w2, w3], 4, 1, QQ)
+    over_z = saturate(1, [w2, w3], 4, 1, ZZ)
+    assert [s.invariants for s in over_z.stages] == \
+        [s.invariants for s in over_q.stages]
+    assert (over_q.stabilization, over_z.stabilization) == (1, 2)
+    assert over_z.stages[1].span.quotient.invariants().torsion == (2,)
+    spans = [stage.span for stage in over_z.stages]
+    assert ([s.invariants for s in over_z.stages], over_z.ascending) == \
+        _z_reference(spans)
+    lattices = [_z_lattice(s) for s in spans]
+    assert over_z.stabilization == next(
+        n0 for n0 in range(len(spans) - 1) if lattices[n0] == lattices[n0 + 1])
 
 
 def test_derivative_of_torsion_module_vanishes():

@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fimod.matrix import Matrix, block_diagonal
+from fimod.functors import _ascending
+from fimod.matrix import (Matrix, block_diagonal, field_in_span,
+                          field_kernel_basis)
 from fimod.modules import (Invariants, ModuleMap, PresentedModule,
                            SubmoduleOfQuotient, cokernel_invariants,
                            direct_sum, identity_map, is_isomorphism,
                            kernel_subspace_generators)
 from fimod.rings import GF, QQ, ZZ
+from fimod.smith import integer_in_span, integer_kernel_basis, lattice_canonical
 
 
 def test_cokernel_invariant_examples():
@@ -123,3 +128,116 @@ def test_submodule_of_quotient_over_z():
     bigger = SubmoduleOfQuotient(mod, [{0: 2}, {0: 1}, {1: 1}])
     assert bigger.same_span_as(full)
     assert not sub.same_span_as(full)
+
+
+# -- the Hopfian rule against the span references ----------------------------
+
+SPAN_RINGS = (QQ, GF(2), GF(3), ZZ)
+
+
+def _in_span(ring, ambient, span, cols):
+    """Reference containment: rank comparison over a field, the integer
+    solver over Z."""
+    vecs = Matrix.from_columns(ring, ambient, cols)
+    span = Matrix.from_columns(ring, ambient, span)
+    if ring.is_field:
+        return field_in_span(span, vecs)
+    return integer_in_span(span, vecs)
+
+
+def _same_span(ring, ambient, rel, a, b):
+    """Reference equality of (A + R) and (B + R): equal Hermite bases over
+    Z, equal ranks of A + R, B + R and A + B + R over a field."""
+    if not ring.is_field:
+        return lattice_canonical(Matrix.from_columns(ring, ambient, a + rel)) \
+            == lattice_canonical(Matrix.from_columns(ring, ambient, b + rel))
+    ranks = {Matrix.from_columns(ring, ambient, cols).rank()
+             for cols in (a + rel, b + rel, a + b + rel)}
+    return len(ranks) == 1
+
+
+def _kernel_presentation(ring, ambient, rel, gens):
+    """Reference invariants of the span of `gens` in R^ambient / R: the
+    cokernel of R^k / pi ker [G | R], with pi the projection onto G."""
+    if not gens:
+        return Invariants(0)
+    stacked = Matrix.from_columns(ring, ambient, gens + rel)
+    kernel = field_kernel_basis(stacked) if ring.is_field \
+        else integer_kernel_basis(stacked)
+    k = len(gens)
+    proj = [{i: v for i, v in col.items() if i < k} for col in kernel]
+    return PresentedModule(ring, k, Matrix.from_columns(ring, k, proj)) \
+        .invariants()
+
+
+@st.composite
+def span_problems(draw):
+    """(ambient, relation columns, columns A, columns B), integer entries.
+
+    Half the time B respells A: a unimodular change of its columns plus
+    multiples of relations, so equal spans are common.
+    """
+    ambient = draw(st.integers(1, 3))
+    column = st.dictionaries(st.integers(0, ambient - 1),
+                             st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4, 6]),
+                             max_size=ambient)
+    rel = draw(st.lists(column, max_size=3))
+    a = draw(st.lists(column, max_size=3))
+    if not draw(st.booleans()):
+        return ambient, rel, a, draw(st.lists(column, max_size=2))
+    b = []
+    for j, col in enumerate(a):
+        new = dict(col)
+        extra = [(draw(st.integers(-2, 2)), c) for c in a[j + 1:]]
+        if rel:
+            extra.append((draw(st.integers(-2, 2)),
+                          rel[draw(st.integers(0, len(rel) - 1))]))
+        for c, other in extra:
+            for i, v in other.items():
+                new[i] = new.get(i, 0) + c * v
+        b.append({i: v for i, v in new.items() if v})
+    return ambient, rel, a, b[::-1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(span_problems())
+@example((1, [{0: 4}], [{0: 2}], []))      # Z/4 and 2: only torsion differs
+@example((2, [{0: 2, 1: 2}], [{0: 1, 1: 1}], [{0: 3, 1: 3}]))
+def test_hopfian_rule_matches_span_references(problem):
+    """`kills`, `contains`, `is_well_defined`, `same_span_as`, `_ascending`
+    and the submodule's invariants, read over Q, F2, F3 and Z, against
+    `field_in_span`, `integer_in_span`, `lattice_canonical`, ranks and the
+    kernel presentation."""
+    ambient, rel, a, b = problem
+    for ring in SPAN_RINGS:
+        m = PresentedModule(ring, ambient, Matrix.from_columns(ring, ambient,
+                                                               rel))
+        for cols in (a, b, a + b):
+            assert m.kills(cols) == _in_span(ring, ambient, rel, cols)
+        for col in a:
+            assert m.contains(col) == _in_span(ring, ambient, rel, [col])
+        over_b = PresentedModule(ring, ambient, Matrix.from_columns(
+            ring, ambient, b + rel))
+        assert ModuleMap(over_b, m, Matrix.identity(ring, ambient)) \
+            .is_well_defined() == _in_span(ring, ambient, rel, b)
+        sa, sb = SubmoduleOfQuotient(m, a), SubmoduleOfQuotient(m, b)
+        same = _same_span(ring, ambient, rel, a, b)
+        assert sa.same_span_as(sb) == same == sb.same_span_as(sa)
+        assert _ascending([sa, sb]) == _in_span(ring, ambient, b + rel, a)
+        assert _ascending([sb, sa]) == _in_span(ring, ambient, a + rel, b)
+        assert sa.invariants() == _kernel_presentation(ring, ambient, rel, a)
+
+
+def test_torsion_alone_decides_containment_over_z():
+    """In Z/4 the span of 2 and the zero span have quotients Z/2 and Z/4:
+    equal free ranks, so only the torsion tells them apart."""
+    z4 = PresentedModule(ZZ, 1, Matrix.from_rows(ZZ, [[4]]))
+    two, zero = SubmoduleOfQuotient(z4, [{0: 2}]), SubmoduleOfQuotient(z4, [])
+    assert two.quotient.invariants() == Invariants(0, (2,))
+    assert not z4.kills([{0: 2}]) and z4.kills([{0: 8}])
+    assert not two.same_span_as(zero) and not zero.same_span_as(two)
+    assert _ascending([zero, two]) and not _ascending([two, zero])
+    assert two.invariants() == Invariants(0, (2,))
+    for ring in (QQ, GF(2), GF(3)):
+        m = PresentedModule(ring, 1, Matrix.from_rows(ring, [[4]]))
+        assert m.kills([{0: 2}])
