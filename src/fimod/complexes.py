@@ -20,13 +20,15 @@ blocks at row and column offsets (`_place_blocks`): the blocks of one
 matrix never overlap, so entries are written as they are, with nothing to
 merge or coerce, through `Matrix.canonical`.
 
-Homology takes one route over Q, F_p and Z. The source is read in the free
-coordinates of its slices (over Z every slice must be torsion-free), so
-level a becomes R^{r_a} and the differential L_a a matrix over R. The image
-of L_a lies in the free module R^{r_{a-1}}, so ker L_a is a direct summand
-of R^{r_a} and coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a is therefore the
-cokernel of L_{a+1} with rank L_a taken off its free rank: one rank per
-differential over a field, one Smith form without transforms over Z.
+Homology takes one route over Q, F_p and Z. The slices are read in free
+coordinates (over Z every slice must be torsion-free), so level a becomes
+R^{r_a} and the differential L_a a matrix over R, lifted with no section as
+coords_{a-1} @ d_a from level a in ambient coordinates: those surject onto
+the slice, so the lift has the image of L_a. That image lies in the free
+module R^{r_{a-1}}, so ker L_a is a direct summand of R^{r_a} and
+coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a is therefore the cokernel of
+L_{a+1} with rank L_a taken off its free rank: one rank per differential
+over a field, one Smith form without transforms over Z.
 """
 from __future__ import annotations
 
@@ -173,8 +175,8 @@ class HomologyResult:
 
 class _FreeSlices:
     """A slice source read in the free coordinates of its slices: slice m
-    is the relation-free R^{r_m}, and f acts by
-    coords_target @ M_f @ section_source, lifted once per f."""
+    is the relation-free R^{r_m}, and f lifts once to coords_target @ M_f,
+    whose source is the ambient module of slice f.source."""
 
     def __init__(self, src):
         self.ring = src.ring
@@ -184,16 +186,22 @@ class _FreeSlices:
 
     def slice_module(self, m: int) -> PresentedModule:
         if m not in self._slices:
-            coords = self._src.slice_module(m).free_coordinates()[0]
+            coords = self._src.slice_module(m).free_coordinates()
             self._slices[m] = PresentedModule(self.ring, coords.nrows)
         return self._slices[m]
 
     def induced_matrix(self, f: Injection) -> Matrix:
         if f not in self._lifts:
-            coords = self._src.slice_module(f.target).free_coordinates()[0]
-            section = self._src.slice_module(f.source).free_coordinates()[1]
-            self._lifts[f] = coords @ self._src.induced_matrix(f) @ section
+            coords = self._src.slice_module(f.target).free_coordinates()
+            self._lifts[f] = coords @ self._src.induced_matrix(f)
         return self._lifts[f]
+
+
+def _bare_level(src, a: int, n: int) -> ShiftSlice:
+    """Level a at degree n without relations: the offsets, all a lift reads."""
+    subsets, size = _level(src, a, n)
+    return ShiftSlice(a, n, list(subsets), PresentedModule(src.ring, size),
+                      PresentedModule(src.ring, size * len(subsets)))
 
 
 def complex_homology(src, n: int, positions=None,
@@ -201,13 +209,14 @@ def complex_homology(src, n: int, positions=None,
     """Homology of the degree-n slice of the signed complex.
 
     Every ring takes the route of the module docstring: with L_a the
-    differential in the free coordinates of the slices, im L_a lies in a
-    free module, so ker L_a is a direct summand and
+    differential in the free coordinates of the slices, lifted from the
+    ambient coordinates of level a (same image), im L_a lies in a free
+    module, so ker L_a is a direct summand and
     coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a has the torsion of
     coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}. Over Z the
     slices must be torsion-free. Only the levels a-1..a+1 of the requested
-    positions are built. `_free` is the lifted source to reuse, one per
-    `find_N` call.
+    positions are built, a+1 as offsets. `_free` is the lifted source to
+    reuse, one per `find_N` call.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -225,22 +234,23 @@ def complex_homology(src, n: int, positions=None,
                     "homology supports free slices only - run field-wise "
                     "(Q and a prime list) instead")
     free = _FreeSlices(src) if _free is None else _free
-    levels = {b for a in positions for b in (a - 1, a, a + 1) if 0 <= b <= n}
-    terms = {b: signed_shift_slice(free, b, n) for b in levels}
+    targets = {b: _bare_level(free, b, n) for a in positions
+               for b in (a - 1, a) if b >= 0}
     cokers: dict[int, Invariants] = {}   # b -> coker L_b, with L_{n+1} = 0
 
     def lifted(b: int) -> Matrix:
-        return differential(free, b, n, terms[b], terms[b - 1]).matrix
+        return differential(free, b, n, _bare_level(src, b, n),
+                            targets[b - 1]).matrix
 
     out = {}
     for a in positions:
-        free_a = terms[a].module.ambient
+        free_a = targets[a].module.ambient
         image = lifted(a + 1) if a < n else Matrix.zero(ring, free_a, 0)
         h = cokers[a + 1] = PresentedModule(ring, free_a, image).invariants()
         if a == 0:
             rank_in = 0
         elif a in cokers:
-            rank_in = terms[a - 1].module.ambient - cokers[a].free_rank
+            rank_in = targets[a - 1].module.ambient - cokers[a].free_rank
         else:
             rank_in = lifted(a).rank()
         out[a] = Invariants(h.free_rank - rank_in, h.torsion)

@@ -650,20 +650,17 @@ def field_rref(m: Matrix) -> tuple[list[dict[int, object]], list[int]]:
 
 def field_kernel_basis(m: Matrix) -> list[dict[int, object]]:
     """Basis of {x : m @ x = 0} over a field, as sparse column dicts."""
-    ring = m.ring
+    ring, p = m.ring, m.ring.p
     rref_rows, pivots = field_rref(m)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.ncols) if j not in pivot_set]
-    pivot_row_of = {min(row): row for row in rref_rows}
-    basis = []
-    for f in free_cols:
-        vec = {f: ring.one}
-        for pc in pivots:
-            coef = pivot_row_of[pc].get(f)
-            if coef is not None:
-                vec[pc] = ring.p - coef if ring.p else -coef
-        basis.append(vec)
-    return basis
+    basis = {f: {f: ring.one} for f in range(m.ncols) if f not in pivot_set}
+    # a reduced row is zero at every other pivot: each of its other entries
+    # f is a free column, and x_f = 1 puts -row[f] at the row's pivot
+    for row, pc in zip(rref_rows, pivots):
+        for f, coef in row.items():
+            if f != pc:
+                basis[f][pc] = p - coef if p else -coef
+    return list(basis.values())
 
 
 def field_in_span(span: Matrix, vectors: Matrix) -> bool:

@@ -63,6 +63,12 @@ def direct_sum(parts) -> Invariants:
     return Invariants(free, tuple(d for d in facs if d != 1))
 
 
+def _kernel_basis(m: Matrix) -> list[dict]:
+    """Basis of {x : m @ x = 0}: a field kernel, or a saturated lattice
+    basis over Z."""
+    return (field_kernel_basis if m.ring.is_field else integer_kernel_basis)(m)
+
+
 class PresentedModule:
     """R^ambient modulo the column span of a relation matrix."""
 
@@ -104,39 +110,21 @@ class PresentedModule:
             self._reducer = FieldReducer(self.relations)
         return self._reducer
 
-    def free_coordinates(self):
-        """Coordinate maps for a free quotient: (coords, section) matrices.
-
-        coords is (free_rank x ambient) and section (ambient x free_rank),
-        with coords @ section = identity and with coords(v) the class of v
-        in a chosen basis of the quotient. Without relations both are the
-        identity. Over a field the basis is the reducer's non-pivot
-        coordinates. Over Z the quotient must be torsion-free: the rows of
-        coords are a basis of the annihilator {y : y . r = 0 for every
-        relation r}, whose own kernel is the relation lattice because the
-        quotient has no torsion; section is a right inverse of coords,
-        solved column by column.
+    def free_coordinates(self) -> Matrix:
+        """coords (free_rank x ambient): an isomorphism of the quotient onto
+        R^free_rank. Its rows are a kernel basis of relations^T, a basis of
+        the annihilator of the relations, on every ring; over a field they
+        are the reducer's coordinates. Over Z the quotient must be
+        torsion-free: ker coords, the saturation of the relation lattice, is
+        then the lattice itself, and a kernel lattice is saturated, so
+        coords is onto Z^free_rank.
         """
         if self._free_coords is None:
-            ring, n = self.ring, self.ambient
-            if self.relations.is_zero():
-                coords = section = Matrix.identity(ring, n)
-            elif ring.is_field:
-                red = self.reducer()
-                k = red.quotient_dim
-                coords = Matrix.from_columns(
-                    ring, k, [red.coordinates({j: ring.one}) for j in range(n)])
-                section = Matrix(ring, n, k, {(c, i): ring.one
-                                              for i, c in enumerate(red.free)})
-            else:
-                if self.invariants().torsion:
-                    raise ValueError("quotient has torsion; no free coordinates")
-                coords = Matrix.from_columns(ring, n, integer_kernel_basis(
-                    self.relations.transpose())).transpose()
-                solver = IntegerSolver(coords)
-                section = Matrix.from_columns(
-                    ring, n, [solver.solve({i: 1}) for i in range(coords.nrows)])
-            self._free_coords = (coords, section)
+            if self.invariants().torsion:
+                raise ValueError("quotient has torsion; no free coordinates")
+            self._free_coords = Matrix.from_columns(
+                self.ring, self.ambient,
+                _kernel_basis(self.relations.transpose())).transpose()
         return self._free_coords
 
     def quotient(self, columns: list[dict]) -> "PresentedModule":
@@ -235,14 +223,9 @@ def kernel_subspace_generators(f: ModuleMap) -> list[dict]:
     the source relations they span the kernel's preimage in the ambient
     module.
     """
-    stacked = hstack([f.matrix, f.target.relations])
-    if f.ring.is_field:
-        raw = field_kernel_basis(stacked)
-    else:
-        raw = integer_kernel_basis(stacked)
     n = f.source.ambient
     gens = []
-    for col in raw:
+    for col in _kernel_basis(hstack([f.matrix, f.target.relations])):
         x = {i: v for i, v in col.items() if i < n}
         if x:
             gens.append(x)

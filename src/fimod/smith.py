@@ -199,7 +199,12 @@ def _graph_hermite(m: Matrix, reduced: bool = False):
 
 
 def integer_kernel_basis(m: Matrix) -> list[dict[int, int]]:
-    """Basis of the lattice {x in Z^ncols : m @ x = 0}, as column dicts."""
+    """Basis of the lattice {x in Z^ncols : m @ x = 0}, as column dicts.
+    A zero matrix (a free module's relations) gets the unit vectors its
+    graph form would give, without building the dense identity."""
+    _check_integer(m)
+    if not m.entries:
+        return [{j: 1} for j in range(m.ncols)]
     rows, r = _graph_hermite(m)
     return [{j: v for j, v in enumerate(row[m.nrows:]) if v}
             for row in rows[r:]]

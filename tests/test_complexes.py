@@ -22,7 +22,7 @@ from fimod.presentations import FIPresentation, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
 from tests.test_matrix import assert_canonical
-from tests.test_presentations import torsion_module
+from tests.test_presentations import CROSS_RING_PRIMES, torsion_module
 from tests.test_smith import (snf_free_coordinates_reference,
                               snf_kernel_reference, snf_solver_reference)
 
@@ -309,6 +309,43 @@ def test_integer_homology_matches_lattice_reference():
                 lattice_homology_reference(src, n), (src, n)
             checked += 1
     assert checked >= 140
+
+
+def test_integer_homology_agrees_across_rings():
+    """Universal coefficients, with no reference code. With torsion-free
+    slices every level of the complex C over Z is free, and the same
+    integer presentation read over a field k gives C ⊗ k. So H_a over Q has
+    dimension r_a, and over F_p dimension r_a + #{p | t in H_a} +
+    #{p | t in H_{a-1}} (the Tor term), where H_a = Z^{r_a} + torsion t.
+    Seeded structures at n <= 4 almost never have torsion in H, so the
+    pinned torsion cases above come too."""
+    cases = [(struct, n) for seed in (0, 1, 2)
+             for struct in seeded_structures(seed, 30, max_generators=3,
+                                             max_relations=3)
+             for n in range(5)]
+    cases += [(struct, n) for struct, n, _ in INTEGER_HOMOLOGY_CASES]
+    checked = with_relations = with_torsion = 0
+    for struct, n in cases:
+        z = instantiate(struct, ZZ)
+        if not torsion_free_up_to(z, n):
+            continue
+        with_relations += any(not z.slice_module(m).relations.is_zero()
+                              for m in range(n + 1))
+        h = complex_homology(z, n).positions
+
+        def divisible(a, q):
+            return sum(1 for t in h[a].torsion if t % q == 0) if a >= 0 else 0
+
+        expected = [{a: h[a].free_rank for a in h}] + [
+            {a: h[a].free_rank + divisible(a, q) + divisible(a - 1, q)
+             for a in h} for q in CROSS_RING_PRIMES]
+        got = [{a: inv.free_rank for a, inv in complex_homology(
+            instantiate(struct, k), n).positions.items()}
+            for k in [QQ] + [GF(q) for q in CROSS_RING_PRIMES]]
+        assert got == expected, (struct, n)
+        checked += 1
+        with_torsion += any(inv.torsion for inv in h.values())
+    assert checked >= 300 and with_relations >= 90 and with_torsion >= 6
 
 
 @pytest.mark.parametrize("ring", [QQ, ZZ])

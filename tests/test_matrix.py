@@ -114,6 +114,39 @@ def test_field_kernel_and_rref():
         assert mp.apply_to_column(vec) == {}
 
 
+def dense_kernel_reference(rows, ncols, p=0):
+    """Kernel basis read off the dense Gauss-Jordan form, one free column f
+    at a time in increasing order: x_f = 1 and x_pc = -rref[pc][f] at each
+    pivot column pc."""
+    rref, pivots = dense_rref_reference(rows, p)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = {f: 1 if p else Fraction(1)}
+        for row, pc in zip(rref, pivots):
+            if row.get(f):
+                vec[pc] = -row[f] % p if p else -row[f]
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5], ids=lambda p: f"F{p}" if p else "Q")
+def test_field_kernel_basis_matches_dense_reference(p):
+    ring = GF(p) if p else QQ
+    shapes = [(6, 9, 0.4), (9, 6, 0.4), (12, 20, 0.15), (20, 12, 0.2),
+              (15, 30, 0.1), (30, 25, 0.08)]
+    for seed in range(5):
+        for k, (nr, nc, density) in enumerate(shapes):
+            rows = random_sparse_rows(100 * seed + k, nr, nc, density)
+            m = sparse_matrix(ring, rows)
+            basis = field_kernel_basis(m)
+            assert basis == dense_kernel_reference(rows, nc, p), (seed, k)
+            assert all(m.apply_to_column(x) == {} for x in basis)
+    assert field_kernel_basis(Matrix.zero(ring, 0, 3)) == \
+        [{0: ring.one}, {1: ring.one}, {2: ring.one}]
+
+
 def test_field_in_span():
     span = Matrix.from_columns(QQ, 3, [{0: 1, 1: 1}, {1: 1, 2: 1}])
     inside = Matrix.from_columns(QQ, 3, [{0: 2, 1: 3, 2: 1}])

@@ -12,6 +12,7 @@ from fimod.modules import (Invariants, ModuleMap, PresentedModule,
                            direct_sum, identity_map, is_isomorphism,
                            kernel_subspace_generators)
 from fimod.rings import GF, QQ, ZZ
+from fimod.sampling import instantiate, seeded_structures
 from fimod.smith import integer_in_span, integer_kernel_basis, lattice_canonical
 
 
@@ -241,3 +242,47 @@ def test_torsion_alone_decides_containment_over_z():
     for ring in (QQ, GF(2), GF(3)):
         m = PresentedModule(ring, 1, Matrix.from_rows(ring, [[4]]))
         assert m.kills([{0: 2}])
+
+
+# ---------------------------------------------------------------------------
+# free coordinates: one annihilator basis on every ring
+
+def reducer_coordinates_reference(module):
+    """The coordinate matrix read off the field reducer, column by column:
+    column j is the reducer's coordinate vector of e_j."""
+    red, ring = module.reducer(), module.ring
+    return Matrix.from_columns(ring, red.quotient_dim, [
+        red.coordinates({j: ring.one}) for j in range(module.ambient)])
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), GF(5)],
+                         ids=lambda r: r.name)
+def test_free_coordinates_over_fields_match_reducer(ring):
+    from fimod.arnold import ArnoldModule
+    modules = [ArnoldModule(2, ring).slice_module(n) for n in (5, 6, 7)]
+    for seed in (0, 1):
+        for struct in seeded_structures(seed, 15):
+            p = instantiate(struct, ring)
+            modules += [p.slice_module(n) for n in range(5)]
+    with_relations = 0
+    for module in modules:
+        assert module.free_coordinates() == \
+            reducer_coordinates_reference(module), module
+        with_relations += not module.relations.is_zero()
+    assert with_relations >= 20
+
+
+def test_free_coordinates_refuse_torsion_over_z():
+    z2 = PresentedModule(ZZ, 2, Matrix.from_columns(ZZ, 2, [{0: 2}]))
+    with pytest.raises(ValueError, match="torsion"):
+        z2.free_coordinates()
+    torsion_slices = 0
+    for struct in seeded_structures(6, 60):
+        p = instantiate(struct, ZZ)
+        for n in range(4):
+            module = p.slice_module(n)
+            if module.invariants().torsion:
+                torsion_slices += 1
+                with pytest.raises(ValueError, match="torsion"):
+                    module.free_coordinates()
+    assert torsion_slices >= 3

@@ -196,6 +196,12 @@ def test_integer_kernel_basis():
     # kernel basis is saturated: (1, 1, -1) must be an integer combination
     solver = IntegerSolver(Matrix.from_columns(ZZ, 3, basis))
     assert solver.contains({0: 1, 1: 1, 2: -1})
+    # a zero matrix, as a free module's relations^T, has the unit vectors
+    for rows in (0, 2):
+        assert integer_kernel_basis(Matrix.zero(ZZ, rows, 3)) == \
+            [{0: 1}, {1: 1}, {2: 1}]
+    with pytest.raises(ValueError):
+        integer_kernel_basis(Matrix.zero(QQ, 0, 3))
 
 
 def test_integer_solver_membership():
@@ -371,11 +377,12 @@ def test_free_coordinates_over_seeded_integer_slices(seed):
             module = p.slice_module(n)
             if module.invariants().torsion:
                 continue
-            coords, section = module.free_coordinates()
+            coords = module.free_coordinates()
             rel = module.relations
             assert coords.nrows == module.invariants().free_rank
             assert (coords @ rel).is_zero()
-            assert coords @ section == Matrix.identity(ZZ, coords.nrows)
+            # coords maps Z^ambient onto Z^r
+            assert invariant_factors(coords) == [1] * coords.nrows
             assert canonical_of_columns(
                 module.ambient, snf_kernel_reference(coords)) == \
                 lattice_canonical(rel)
