@@ -18,7 +18,9 @@ Every matrix assembled here (differentials, the homotopy, X_1, ordered
 shift structure maps, colimit relations) is a placement of canonical
 blocks at row and column offsets (`_place_blocks`): the blocks of one
 matrix never overlap, so entries are written as they are, with nothing to
-merge or coerce, through `Matrix.canonical`.
+merge or coerce, through `Matrix.canonical`. A differential's offsets are
+its blocks' shape: every block of d_a is f_* from slice n-a to slice
+n-a+1, so no level needs building to place it.
 
 Homology takes one route over Q, F_p and Z. The slices are read in free
 coordinates (over Z every slice must be torsion-free), so level a becomes
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .injections import Injection, enumerate_injections, standard_inclusion
 from .matrix import Matrix, block_diagonal, hstack
@@ -126,20 +129,25 @@ def signed_shift_slice(src, a: int, n: int) -> ShiftSlice:
     return _shift_slice(src, a, n, list(_level(src, a, n)[0]))
 
 
-def differential(src, a: int, n: int,
-                 source_slice: ShiftSlice | None = None,
-                 target_slice: ShiftSlice | None = None) -> ModuleMap:
+def _differential_matrix(src, a: int, n: int) -> Matrix:
+    """The matrix of d out of level a at degree n, 1 <= a <= n. Every block
+    is f_*: slice n-a -> slice n-a+1, so its shape gives the offsets: block
+    p of the cover (S, S ∪ {u}, p, u) sits at (index of S ∪ {u}) x rows,
+    (index of S) x cols, negated when u - p is odd."""
+    blocks = _cover_blocks(src, n - a)
+    rows, cols = blocks[0].nrows, blocks[0].ncols
+    return _place_blocks(src.ring, comb(n, a - 1) * rows, comb(n, a) * cols,
+                         ((ti * rows, si * cols, blocks[p], (u - p) % 2 == 1)
+                          for si, ti, p, u in _covers(n, n - a)))
+
+
+def differential(src, a: int, n: int) -> ModuleMap:
     """d: (level a) -> (level a-1) at degree n, 1 <= a <= n."""
     if not 1 <= a <= n:
         raise ValueError("differential needs 1 <= a <= n")
-    s_from = source_slice or signed_shift_slice(src, a, n)
-    s_to = target_slice or signed_shift_slice(src, a - 1, n)
-    blocks = _cover_blocks(src, n - a)
-    mat = _place_blocks(src.ring, s_to.module.ambient, s_from.module.ambient,
-                        ((s_to.offset(ti), s_from.offset(si), blocks[p],
-                          (u - p) % 2 == 1)
-                         for si, ti, p, u in _covers(n, n - a)))
-    return ModuleMap(s_from.module, s_to.module, mat)
+    return ModuleMap(signed_shift_slice(src, a, n).module,
+                     signed_shift_slice(src, a - 1, n).module,
+                     _differential_matrix(src, a, n))
 
 
 @dataclass
@@ -158,7 +166,8 @@ class SliceComplex:
 
 def slice_complex(src, n: int) -> SliceComplex:
     terms = [signed_shift_slice(src, a, n) for a in range(n + 1)]
-    diffs = [differential(src, a, n, terms[a], terms[a - 1])
+    diffs = [ModuleMap(terms[a].module, terms[a - 1].module,
+                       _differential_matrix(src, a, n))
              for a in range(1, n + 1)]
     return SliceComplex(n, terms, diffs)
 
@@ -176,7 +185,8 @@ class HomologyResult:
 class _FreeSlices:
     """A slice source read in the free coordinates of its slices: slice m
     is the relation-free R^{r_m}, and f lifts once to coords_target @ M_f,
-    whose source is the ambient module of slice f.source."""
+    whose source is the ambient module of slice f.source. A differential
+    placed from these blocks therefore has free rows and ambient columns."""
 
     def __init__(self, src):
         self.ring = src.ring
@@ -197,13 +207,6 @@ class _FreeSlices:
         return self._lifts[f]
 
 
-def _bare_level(src, a: int, n: int) -> ShiftSlice:
-    """Level a at degree n without relations: the offsets, all a lift reads."""
-    subsets, size = _level(src, a, n)
-    return ShiftSlice(a, n, list(subsets), PresentedModule(src.ring, size),
-                      PresentedModule(src.ring, size * len(subsets)))
-
-
 def complex_homology(src, n: int, positions=None,
                      _free: _FreeSlices | None = None) -> HomologyResult:
     """Homology of the degree-n slice of the signed complex.
@@ -213,10 +216,11 @@ def complex_homology(src, n: int, positions=None,
     ambient coordinates of level a (same image), im L_a lies in a free
     module, so ker L_a is a direct summand and
     coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a has the torsion of
-    coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}. Over Z the
-    slices must be torsion-free. Only the levels a-1..a+1 of the requested
-    positions are built, a+1 as offsets. `_free` is the lifted source to
-    reuse, one per `find_N` call.
+    coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}, where
+    r_a = C(n, a) r_{n-a} and rank L_a is read off coker L_a when a - 1 was
+    requested too. Over Z the slices must be torsion-free. Each L_b is
+    placed from lifted blocks, so no level is built. `_free` is the lifted
+    source to reuse, one per `find_N` call.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -234,26 +238,17 @@ def complex_homology(src, n: int, positions=None,
                     "homology supports free slices only - run field-wise "
                     "(Q and a prime list) instead")
     free = _FreeSlices(src) if _free is None else _free
-    targets = {b: _bare_level(free, b, n) for a in positions
-               for b in (a - 1, a) if b >= 0}
-    cokers: dict[int, Invariants] = {}   # b -> coker L_b, with L_{n+1} = 0
-
-    def lifted(b: int) -> Matrix:
-        return differential(free, b, n, _bare_level(src, b, n),
-                            targets[b - 1]).matrix
-
+    ranks = {0: 0}                     # b -> rank L_b, with L_0 = 0
     out = {}
     for a in positions:
-        free_a = targets[a].module.ambient
-        image = lifted(a + 1) if a < n else Matrix.zero(ring, free_a, 0)
-        h = cokers[a + 1] = PresentedModule(ring, free_a, image).invariants()
-        if a == 0:
-            rank_in = 0
-        elif a in cokers:
-            rank_in = targets[a - 1].module.ambient - cokers[a].free_rank
-        else:
-            rank_in = lifted(a).rank()
-        out[a] = Invariants(h.free_rank - rank_in, h.torsion)
+        free_a = comb(n, a) * free.slice_module(n - a).ambient
+        image = _differential_matrix(free, a + 1, n) if a < n \
+            else Matrix.zero(ring, free_a, 0)
+        h = PresentedModule(ring, free_a, image).invariants()
+        ranks[a + 1] = free_a - h.free_rank
+        if a not in ranks:
+            ranks[a] = _differential_matrix(free, a, n).rank()
+        out[a] = Invariants(h.free_rank - ranks[a], h.torsion)
     return HomologyResult(n, "field" if ring.is_field else
                           "integer-free-slices", out)
 
@@ -310,15 +305,11 @@ def verify_chain_homotopy(src, a: int, n: int) -> bool:
     """Exact matrix identity dG + Gd = -X_1 at level a, degree n."""
     if not 0 <= a <= n:
         raise ValueError("need 0 <= a <= n")
-    g_a = homotopy_matrix(src, a, n)
-    d_up = differential(src, a + 1, n + 1).matrix
-    lhs = d_up @ g_a
+    lhs = _differential_matrix(src, a + 1, n + 1) @ homotopy_matrix(src, a, n)
     if a >= 1:
-        d_here = differential(src, a, n).matrix
-        g_below = homotopy_matrix(src, a - 1, n)
-        lhs = lhs + (g_below @ d_here)
-    rhs = -shift_one_matrix(src, a, n)
-    return lhs == rhs
+        lhs = lhs + homotopy_matrix(src, a - 1, n) @ \
+            _differential_matrix(src, a, n)
+    return lhs == -shift_one_matrix(src, a, n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .matrix import FieldReducer, Matrix, field_kernel_basis, hstack
 from .rings import ZZ, RingSpec
-from .smith import (IntegerSolver, integer_kernel_basis, invariant_factors,
-                    lattice_canonical)
+from .smith import integer_kernel_basis, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -242,22 +241,19 @@ class SubmoduleOfQuotient:
         self.quotient = module.quotient(generators)
 
     def invariants(self) -> Invariants:
-        """Invariants of S: free ranks subtract along 0 -> S -> M -> M/S -> 0;
-        torsion, only possible if M has some, is read off S presented on a
-        basis of its lattice."""
+        """Invariants of S. If M has no torsion neither has S, and free ranks
+        subtract along 0 -> S -> M -> M/S -> 0; otherwise S is presented on
+        its k generators, as R^k modulo the kernel of R^k -> M."""
         inv = self.module.invariants()
-        free = inv.free_rank - self.quotient.invariants().free_rank
         if not inv.torsion:
-            return Invariants(free)
-        ring = self.module.ring
-        basis = lattice_canonical(self.quotient.relations)
-        solver = IntegerSolver(Matrix.from_rows(ring, basis).transpose())
-        rel_cols = [solver.solve(c) for c in self.module.relations.columns()]
-        if None in rel_cols:
-            raise RuntimeError("relations escaped their own span")
-        inner = Matrix.from_columns(ring, len(basis), rel_cols)
-        return Invariants(free, PresentedModule(ring, len(basis), inner)
-                          .invariants().torsion)
+            return Invariants(inv.free_rank -
+                              self.quotient.invariants().free_rank)
+        ring, k = self.module.ring, len(self.generators)
+        gens = Matrix.from_columns(ring, self.module.ambient, self.generators)
+        kernel = kernel_subspace_generators(
+            ModuleMap(PresentedModule(ring, k), self.module, gens))
+        return PresentedModule(ring, k, Matrix.from_columns(ring, k, kernel)) \
+            .invariants()
 
     def same_span_as(self, other: "SubmoduleOfQuotient") -> bool:
         """Equality as submodules A, B of one M: `kills` says B lies in A,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -363,9 +364,11 @@ def run_selftest(seed: int = 0) -> list[CheckResult]:
 
 
 def _peak_memory_bytes() -> int | None:
+    """Peak resident set size: ru_maxrss counts bytes on macOS and KiB on
+    Linux."""
     try:
         import resource
-        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return kb * 1024
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     except Exception:
         return None
+    return peak if sys.platform == "darwin" else peak * 1024

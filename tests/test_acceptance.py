@@ -4,9 +4,13 @@ Each criterion prints one pass/fail line; all must pass. The checks
 themselves live in fimod.selftest so the `fimod selftest` command and this
 module exercise identical code.
 """
+import resource
+import sys
+from types import SimpleNamespace
+
 import pytest
 
-from fimod.selftest import (CheckResult, EXCLUSION_NOTE,
+from fimod.selftest import (CheckResult, EXCLUSION_NOTE, _peak_memory_bytes,
                             check_colimit_biconditional,
                             check_complex_identities,
                             check_free_slice_dimensions, check_h0_support,
@@ -78,3 +82,16 @@ def test_selftest_covers_every_criterion(seed_results):
         "polynomial-dimensions", "torsion-vanishing", "saturation-chain",
         "runtime-envelope",
     }
+
+
+
+@pytest.mark.parametrize("platform,ru_maxrss", [("linux", 30 * 1024),
+                                                ("darwin", 30 * 1024 ** 2)])
+def test_peak_memory_reads_ru_maxrss_in_the_platform_unit(
+        monkeypatch, platform, ru_maxrss):
+    """ru_maxrss counts KiB on Linux and bytes on macOS: a 30 MiB run must
+    read as 30 MiB on both, not as 30 GiB (over the 2 GiB budget) on macOS."""
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=ru_maxrss))
+    assert _peak_memory_bytes() == 30 * 1024 ** 2

@@ -6,7 +6,8 @@ import pytest
 
 import fimod.complexes
 from fimod.arnold import ArnoldModule
-from fimod.complexes import (check_inductive, complex_homology, differential,
+from fimod.complexes import (_differential_matrix, _FreeSlices,
+                             check_inductive, complex_homology, differential,
                              find_N, homology_field_table, homotopy_matrix,
                              ordered_shift_free_iso, ordered_shift_slice,
                              ordered_shift_structure_map, poset_colimit,
@@ -702,7 +703,50 @@ def test_chain_homotopy_builds_each_level_once(monkeypatch, a):
 
     monkeypatch.setattr(fimod.complexes, "_shift_slice", counting)
     assert verify_chain_homotopy(free_presentation(QQ, 1), a, 3)
-    assert len(built) == len(set(built)) == (4 if a else 2)
+    assert built == []
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_slice_complex_builds_each_level_once(monkeypatch, n):
+    built = []
+    build = fimod.complexes._shift_slice
+
+    def counting(src, level, degree, labels):
+        built.append((level, degree))
+        return build(src, level, degree, labels)
+
+    monkeypatch.setattr(fimod.complexes, "_shift_slice", counting)
+    cx = slice_complex(free_presentation(QQ, 1), n)
+    assert sorted(built) == [(a, n) for a in range(n + 1)]
+    assert cx.check_square_zero()
+
+
+def assert_lifted_differentials(src, n_max):
+    """The differential placed from lifted blocks is coords @ d: the free
+    coordinates of slice n-a+1, once per label of level a-1, after the
+    ambient differential."""
+    free = _FreeSlices(src)
+    for n in range(1, n_max + 1):
+        for a in range(1, n + 1):
+            coords = src.slice_module(n - a + 1).free_coordinates()
+            expected = block_diagonal(
+                src.ring, [coords] * math.comb(n, a - 1)) @ \
+                differential(src, a, n).matrix
+            assert _differential_matrix(free, a, n) == expected, (a, n)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ])
+def test_lifted_differential_is_coords_after_ambient(ring):
+    checked = with_relations = 0
+    for struct in seeded_structures(4, 30, max_generators=3, max_relations=3):
+        src = instantiate(struct, ring)
+        if torsion_free_up_to(src, 4):
+            assert_lifted_differentials(src, 4)
+            checked += 1
+            with_relations += any(not src.slice_module(m).relations.is_zero()
+                                  for m in range(5))
+    assert checked >= 15 and with_relations >= 5
+    assert_lifted_differentials(ArnoldModule(2, ring), 5)
 
 
 def poset_colimit_reference(src, n, cutoff, mode):

@@ -16,7 +16,7 @@ from fimod.presentations import FIPresentation, FreeElement, free_presentation
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, seeded_structures
 from fimod.smith import integer_in_span, lattice_canonical
-from tests.test_modules import _kernel_presentation
+from tests.test_modules import _submodule_reference
 from tests.test_presentations import torsion_module
 
 
@@ -220,8 +220,9 @@ def _z_lattice(span):
 
 def _z_reference(spans):
     """Reference invariants and ascending flag of a chain of spans over Z:
-    the kernel presentation and the integer solver."""
-    invariants = [_kernel_presentation(ZZ, s.module.ambient,
+    the kernel presentation, or the lattice route where the module has
+    torsion, and the integer solver."""
+    invariants = [_submodule_reference(ZZ, s.module.ambient,
                                        s.module.relations.columns(),
                                        s.generators) for s in spans]
     ascending = all(integer_in_span(
