@@ -313,10 +313,7 @@ def cmd_homology(args) -> Report:
         rep.note("slices carry torsion over Z: reporting field-wise "
                  "dimensions (universal-coefficients caveat: integer "
                  "homology is not determined by these alone)")
-        doc = p.to_document()
-        srcs = {ring.name: FIPresentation.from_document(doc, ring=ring)
-                for ring in [QQ] + [GF(q) for q in primes]}
-        for name, dims in homology_field_table(srcs, args.n,
+        for name, dims in homology_field_table(p, args.n, primes,
                                                positions).items():
             rep.note(f"over {name}: {json.dumps(dims, sort_keys=True)}")
         rep.check("homology", "pass", "field-wise table emitted")

@@ -31,6 +31,15 @@ module R^{r_{a-1}}, so ker L_a is a direct summand of R^{r_a} and
 coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a is therefore the cokernel of
 L_{a+1} with rank L_a taken off its free rank: one rank per differential
 over a field, one Smith form without transforms over Z.
+
+When slices carry torsion over Z, `homology_field_table` gives the
+dimensions over Q and each F_p from the integer source alone, by ranks on
+quotients: rk d_a = rk[D_a | R_{a-1}] - C(n, a-1) rk R_{n-a+1}, with D_a
+the ambient differential and R_{a-1} the block relations of level a-1, and
+H_a = dim C_a - rk d_a - rk d_{a+1}. Each of those integer matrices is
+stripped of its unit pivots once over Z; that is a unimodular equivalence,
+exact after reduction modulo every p, so only the residue is ranked per
+field.
 """
 from __future__ import annotations
 
@@ -42,6 +51,8 @@ from math import comb
 from .injections import Injection, enumerate_injections, standard_inclusion
 from .matrix import Matrix, block_diagonal, hstack
 from .modules import (Invariants, ModuleMap, PresentedModule, is_isomorphism)
+from .rings import GF, QQ, ZZ
+from .smith import _strip_unit_pivots
 
 
 def subsets_of_size(n: int, k: int) -> list[tuple[int, ...]]:
@@ -222,14 +233,8 @@ def complex_homology(src, n: int, positions=None,
     placed from lifted blocks, so no level is built. `_free` is the lifted
     source to reuse, one per `find_N` call.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
     ring = src.ring
-    if positions is None:
-        positions = range(0, n + 1)
-    positions = sorted(set(positions))
-    if any(a < 0 or a > n for a in positions):
-        raise ValueError("positions must lie in 0..n")
+    positions = _positions(n, positions)
     if not ring.is_field:
         for m in range(0, n + 1):
             if src.slice_module(m).invariants().torsion:
@@ -253,18 +258,88 @@ def complex_homology(src, n: int, positions=None,
                           "integer-free-slices", out)
 
 
-def homology_field_table(src_by_ring, n: int, positions=None) -> dict:
-    """Field-wise homology dimensions: {ring name: {a: dim}}.
+def homology_field_table(src, n: int, primes, positions=None) -> dict:
+    """Homology dimensions over Q and over F_p for each p in `primes`, all
+    read off the integer slice source `src`: {ring name: {a: dim H_a}},
+    Q first, then `primes` in their order. It serves slices with torsion
+    over Z, where the integer homology is not computed.
 
-    `src_by_ring` maps ring names to slice sources over the corresponding
-    field; used to report integer conclusions prime-by-prime when slices
-    carry torsion.
+    Over a field k, level a is C(n, a) copies of V_{n-a} ⊗ k, the
+    cokernel of R_{n-a} ⊗ k, so dim C_a = C(n, a)(amb_{n-a} - rk R_{n-a}).
+    The differential d_a on quotients has image
+    span[D_a | R_{a-1}] / span R_{a-1}, with D_a its ambient matrix and
+    R_{a-1} the block relations of level a-1, C(n, a-1) copies of
+    R_{n-a+1}; so rk d_a = rk[D_a | R_{a-1}] - C(n, a-1) rk R_{n-a+1}, and
+    H_a = dim C_a - rk d_a - rk d_{a+1}.
+
+    Every rank is one integer matrix stripped of its unit pivots once over
+    Z (`_strip_unit_pivots`), then only its small residue ranked per field
+    (`_field_ranks`). Merging two-term unit columns and eliminating with
+    +-1 pivots are integer row and column operations that stay invertible
+    modulo every p, and a +-1 pivot is a unit in every field, so the rank
+    over Q or F_p is the number of unit pivots plus the residue's rank over
+    that field. No field slice, free coordinate or invariant factor is
+    computed: a dense Smith form of a residue costs far more than its rank.
     """
+    if src.ring.is_field:
+        raise ValueError("a field-wise table reads an integer slice source")
+    positions = _positions(n, positions)
+    fields = [QQ] + [GF(q) for q in primes]
+    relation_ranks: dict[int, dict] = {}    # m -> {ring name: rk R_m}
+
+    def rk_relations(m: int) -> dict:
+        if m not in relation_ranks:
+            relation_ranks[m] = _field_ranks(src.slice_module(m).relations,
+                                             fields)
+        return relation_ranks[m]
+
+    ranks = {}                         # b -> {ring name: rank of d_b}
+    for b in sorted({b for a in positions for b in (a, a + 1)}):
+        if not 1 <= b <= n:
+            ranks[b] = dict.fromkeys((k.name for k in fields), 0)
+            continue
+        copies = comb(n, b - 1)
+        both = _field_ranks(hstack([
+            _differential_matrix(src, b, n),
+            block_diagonal(src.ring, [src.slice_module(n - b + 1).relations]
+                           * copies)]), fields)
+        ranks[b] = {name: r - copies * rk_relations(n - b + 1)[name]
+                    for name, r in both.items()}
     table = {}
-    for name, src in src_by_ring.items():
-        res = complex_homology(src, n, positions)
-        table[name] = {a: inv.free_rank for a, inv in res.positions.items()}
+    for k in fields:
+        table[k.name] = {a: comb(n, a) * (src.slice_module(n - a).ambient
+                                          - rk_relations(n - a)[k.name])
+                         - ranks[a][k.name] - ranks[a + 1][k.name]
+                         for a in positions}
     return table
+
+
+def _field_ranks(m: Matrix, fields) -> dict[str, int]:
+    """{field name: rank} of the integer matrix m over each field: its unit
+    pivots, stripped once over Z, plus the rank of the residue there, as
+    integer rows over Q and reduced mod p over F_p."""
+    ones, residue = _strip_unit_pivots(m)
+    out = {}
+    for k in fields:
+        p = k.p
+        ent = {(i, c): v % p if p else v for i, row in enumerate(residue)
+               for c, v in row.items() if not p or v % p}
+        out[k.name] = ones + (Matrix.canonical(
+            k if p else ZZ, len(residue), m.ncols, ent).rank()
+            if ent else 0)
+    return out
+
+
+def _positions(n: int, positions) -> list[int]:
+    """The requested levels, sorted and distinct; 0..n when None."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if positions is None:
+        return list(range(n + 1))
+    positions = sorted(set(positions))
+    if any(a < 0 or a > n for a in positions):
+        raise ValueError("positions must lie in 0..n")
+    return positions
 
 
 # ---------------------------------------------------------------------------

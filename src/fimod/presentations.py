@@ -8,15 +8,22 @@ basis {(generator i, injection [d_i] -> [n])} in generator-major,
 lexicographic-injection order, which makes every matrix reproducible
 bit-for-bit.
 
-The relation matrix of V_n has one column per relation r_j and injection
-h: [e_j] -> [n], in lexicographic order of h. It is assembled on image
-tuples: the term (i, g) of r_j lands in the row of (i, h∘g), whose images
-are h's images read at g's. Pushforward along an injection is injective on
-(generator, injection) keys, so a column never receives two terms at one
-row, and the coefficients were coerced and cleared of zeros when the
-presentation was built. The entries are therefore written as they are,
-with nothing to merge, drop or coerce (`Matrix.canonical`). Induced maps
-compose image tuples the same way.
+The relation matrix of V_n has, for each relation r_j with e_j <= n, one
+column per injection h: U_j -> [n] of the positions U_j ⊆ [e_j] that r_j's
+terms use (the union of their images), in lexicographic order of h read on
+U_j in increasing order. The pushforward of r_j along an injection
+[e_j] -> [n] depends only on its restriction to U_j, and every injection
+U_j -> [n] extends to [e_j] when e_j <= n, so these columns span what the
+pushforwards along all of [e_j] -> [n] span, and each is written once
+(2·g0 - 2·g1 in degree 3 on two degree-0 generators uses no position and
+gets one column at every n >= 3, not n(n-1)(n-2)). It is assembled on
+image tuples: the term (i, g) of r_j lands in the row of (i, h∘g), whose
+images are h's images read at g's. Pushforward along an injection is
+injective on (generator, injection) keys, so a column never receives two
+terms at one row, and the coefficients were coerced and cleared of zeros
+when the presentation was built. The entries are therefore written as they
+are, with nothing to merge, drop or coerce (`Matrix.canonical`). Induced
+maps compose image tuples the same way.
 
 `reduced()` returns a presentation of an isomorphic module with fewer
 generators and relations; `eval` and `homology` read it, since they print
@@ -29,8 +36,9 @@ dropping r and g presents the same module: the FI-maps that send g to that
 expression and back to (g, id) are mutually inverse, because r is exactly
 what makes them agree. Only relations whose coefficients are all ±1 (1 or
 p-1 over F_p) serve as pivots. A pivot c = ±1 makes the move an
-isomorphism over Z, hence over every ring by base change, so one reduced
-integer document stays valid when `homology` re-reads it over Q and F_p.
+isomorphism over Z, hence over every ring by base change, so the field-wise
+table `homology` reads off one reduced integer presentation holds over Q
+and every F_p.
 The other ±1 coefficients make every substituted coefficient ±1, so
 coefficients grow only where substituted terms collide; without that rule
 the m = 3 Arnold document written over F3 and read over Z reached
@@ -181,9 +189,13 @@ class FIPresentation:
         ent = {}
         j = 0
         for rel in self.relations:
-            terms = [(gen, tuple(v - 1 for v in g.images), c)
+            if rel.degree > n:
+                continue
+            used = sorted({v for _, g in rel.terms for v in g.images})
+            at = {v: k for k, v in enumerate(used)}
+            terms = [(gen, tuple([at[v] for v in g.images]), c)
                      for (gen, g), c in rel.terms.items()]
-            for h in permutations(range(1, n + 1), rel.degree):
+            for h in permutations(range(1, n + 1), len(used)):
                 for gen, pos, c in terms:
                     ent[(index[(gen, tuple([h[v] for v in pos]))], j)] = c
                 j += 1

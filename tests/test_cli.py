@@ -470,6 +470,48 @@ def test_fimod_primes_lists_fields(torsion_file, monkeypatch, capsys):
             if line.startswith("over ")] == ["over Q", "over F2", "over F11"]
 
 
+@pytest.fixture
+def truncated_torsion_file(tmp_path):
+    """M(0) + M(1) modulo g0 and 2 g1 pushed into degree 3: slices 3 and up
+    have 2-torsion, and H_3 at n = 5 is 21 over Q but 6 over F2."""
+    path = tmp_path / "trunc.fim"
+    path.write_text(FIPresentation(ZZ, [0, 1], [
+        FreeElement(3, {(1, Injection(1, 3, (3,))): -2}),
+        FreeElement(3, {(0, Injection(0, 3, ())): -1})]).dumps())
+    return str(path)
+
+
+def field_table_lines(out):
+    return {line.split(": ")[0]: json.loads(line.split(": ", 1)[1])
+            for line in out.splitlines() if line.startswith("over ")}
+
+
+def test_homology_positions_read_the_full_field_table(truncated_torsion_file,
+                                                      capsys):
+    argv = ["homology", "--module", truncated_torsion_file, "--n", "5"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and "slices carry torsion over Z" in out
+    full = field_table_lines(out)
+    assert full["over Q"]["3"] == 21 and full["over F2"]["3"] == 6
+    code, out = run_cli(capsys, *argv, "--positions", "3,1")
+    assert code == 0
+    picked = field_table_lines(out)
+    assert list(picked) == list(full) == \
+        ["over Q", "over F2", "over F3", "over F5", "over F7"]
+    assert picked == {ring: {a: dims[a] for a in ("1", "3")}
+                      for ring, dims in full.items()}
+
+
+def test_homology_positions_outside_degree_exit_code(truncated_torsion_file,
+                                                     capsys):
+    # slice 3 has torsion, so this is the field-wise route's refusal
+    assert main(["homology", "--module", truncated_torsion_file, "--n", "3",
+                 "--positions", "1,4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fimod: error: positions must lie in 0..n\n"
+
+
 @pytest.mark.parametrize("primes", [
     "1_1", " 3 ,٣", "٣", "2,2", "3,03", "2,,3", "2,", ",", "+3", "4", "1",
     "0", "2147483659",

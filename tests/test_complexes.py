@@ -19,7 +19,8 @@ from fimod.injections import Injection, standard_inclusion
 from fimod.matrix import Matrix, block_diagonal, hstack
 from fimod.modules import (Invariants, ModuleMap, PresentedModule,
                            is_isomorphism)
-from fimod.presentations import FIPresentation, free_presentation
+from fimod.presentations import (FIPresentation, FreeElement,
+                                 free_presentation)
 from fimod.rings import GF, QQ, ZZ
 from fimod.sampling import instantiate, random_injection, seeded_structures
 from tests.test_matrix import assert_canonical
@@ -155,12 +156,68 @@ def test_free_module_h0_positions():
 
 def test_field_dimensions_agree_on_free_slice_inputs():
     for d in (1, 2):
-        srcs = {"Q": free_presentation(QQ, d),
-                "F2": free_presentation(GF(2), d),
-                "F7": free_presentation(GF(7), d)}
         for n in (2, 3, 4):
-            table = homology_field_table(srcs, n)
+            table = homology_field_table(free_presentation(ZZ, d), n, [2, 7])
             assert table["Q"] == table["F2"] == table["F7"]
+
+
+TABLE_PRIMES = (2, 3, 5, 7)
+
+
+def field_table_reference(p, n, primes, positions=None):
+    """The field-wise table by the route it replaced: the integer document
+    re-read over Q and each F_p, then complex_homology over each field."""
+    doc = p.to_document()
+    return {k.name: {a: inv.free_rank for a, inv in complex_homology(
+        FIPresentation.from_document(doc, ring=k), n,
+        positions).positions.items()}
+        for k in [QQ] + [GF(q) for q in primes]}
+
+
+def torsion_table_cases():
+    """(integer presentation, n): seeded presentations with torsion in a
+    slice up to n, n <= 5 the largest with at most 400 complex
+    coordinates, and the Arnold m=2 document written over F3 and read
+    over Z (2 where -1 was meant), reduced as `homology` reads it."""
+    cases = []
+    for seed in range(4):
+        for struct in seeded_structures(seed, 20, max_generators=3,
+                                        max_relations=3):
+            p = instantiate(struct, ZZ)
+            sizes = [n for n in range(5, -1, -1) if complex_size(p, n) <= 400]
+            if sizes and not torsion_free_up_to(p, sizes[0]):
+                cases.append((p, sizes[0]))
+    from fimod.arnold import arnold_presentation
+    f3 = FIPresentation.from_document(
+        arnold_presentation(2, GF(3)).to_document(), ring=ZZ).reduced()
+    return cases + [(f3, n) for n in (3, 4, 5)]
+
+
+def test_field_table_matches_field_homology_of_rereadings():
+    cases = torsion_table_cases()
+    assert len(cases) >= 30
+    with_p_torsion = 0
+    for p, n in cases:
+        every = list(range(n + 1))
+        some = [a for a in every if a % 2 == n % 2]
+        for positions in (None, some):
+            table = homology_field_table(p, n, TABLE_PRIMES, positions)
+            assert table == field_table_reference(p, n, TABLE_PRIMES,
+                                                  positions), (p, n)
+            assert list(table) == ["Q", "F2", "F3", "F5", "F7"]
+        with_p_torsion += any(table[f"F{q}"] != table["Q"]
+                              for q in TABLE_PRIMES)
+    assert with_p_torsion >= 10
+
+
+def test_field_table_keeps_the_prime_order_and_position_errors():
+    p = FIPresentation(ZZ, [0], [FreeElement(
+        0, {(0, Injection(0, 0, ())): 2})])
+    assert list(homology_field_table(p, 2, [11, 2])) == ["Q", "F11", "F2"]
+    with pytest.raises(ValueError, match="positions must lie in 0..n"):
+        homology_field_table(p, 2, [2], [3])
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        homology_field_table(p, -1, [2])
 
 
 def test_integer_homology_matches_rational_on_free_slices():

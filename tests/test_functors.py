@@ -38,8 +38,9 @@ def test_shift_slice_consistency():
 
 
 def test_shift_identification_is_isomorphism_with_relations():
-    # the slice identification matches relation columns bijectively, so it
-    # is an isomorphism of presented modules, not only a rank equality
+    # the slice identification is a basis bijection that carries relations
+    # into relations; with equal invariants it is an isomorphism of
+    # presented modules, not only a rank equality
     for struct in seeded_structures(47, 4):
         for ring in (QQ, GF(3), ZZ):
             p = instantiate(struct, ring)

@@ -10,7 +10,8 @@ from fimod.arnold import arnold_presentation
 from fimod.functors import shift_presentation
 from fimod.injections import (Injection, enumerate_injections,
                               identity_injection, standard_inclusion)
-from fimod.matrix import Matrix
+from fimod.matrix import Matrix, hstack
+from fimod.modules import PresentedModule
 from fimod.presentations import (FIPresentation, FreeElement, evaluate_slice,
                                  free_presentation, induced_map, pushforward)
 from fimod.rings import GF, QQ, ZZ
@@ -204,6 +205,44 @@ def pushforward_slice_reference(p: FIPresentation, n: int) -> Matrix:
     return Matrix.from_columns(p.ring, len(index), cols)
 
 
+def used_positions_reference(p: FIPresentation, n: int) -> Matrix:
+    """The columns slice assembly writes, built through pushforward: for
+    each relation of degree e <= n and each injection u of its used
+    positions U (lexicographic, as enumerate_injections lists them), the
+    pushforward along one extension of u to [e] -> [n], whose positions
+    outside U take the values u leaves free in increasing order."""
+    index = {(g, inj.images): k for k, (g, inj) in enumerate(p.slice_basis(n))}
+    cols = []
+    for rel in p.relations:
+        if rel.degree > n:
+            continue
+        used = sorted({v for _, g in rel.terms for v in g.images})
+        for u in enumerate_injections(len(used), n):
+            on_used = dict(zip(used, u.images))
+            free = iter(v for v in range(1, n + 1) if v not in u.images)
+            h = Injection(rel.degree, n, tuple(
+                on_used[v] if v in on_used else next(free)
+                for v in range(1, rel.degree + 1)))
+            cols.append({index[(gen, inj.images)]: c
+                         for (gen, inj), c in rel.pushforward(h).terms.items()})
+    if not cols:
+        return Matrix.zero(p.ring, len(index), 0)
+    return Matrix.from_columns(p.ring, len(index), cols)
+
+
+def assert_same_column_span(a: Matrix, b: Matrix):
+    """Over a field: equal ranks of a, b and [a | b]. Over Z: equal
+    invariants of the three cokernels, which is equal spans because
+    finitely generated modules are Hopfian."""
+    both = hstack([a, b])
+    if a.ring.is_field:
+        assert a.rank() == b.rank() == both.rank()
+    else:
+        def inv(m):
+            return PresentedModule(a.ring, m.nrows, m).invariants()
+        assert inv(a) == inv(b) == inv(both)
+
+
 def induced_map_reference(p: FIPresentation, f: Injection) -> Matrix:
     """f_*: V_m -> V_n with one validated Injection per basis element."""
     index = {(g, inj.images): k
@@ -217,7 +256,8 @@ def assert_slices_match_references(p: FIPresentation, n_max: int, rng):
     for n in range(n_max + 1):
         sm = p.evaluate_slice(n)
         relmat = sm.module.relations
-        assert relmat == pushforward_slice_reference(p, n), n
+        assert_same_column_span(relmat, pushforward_slice_reference(p, n))
+        assert relmat == used_positions_reference(p, n), n
         assert_canonical(relmat)
         assert [(g, inj.images) for g, inj in sm.basis] == \
             [(g, inj.images) for g, inj in p.slice_basis(n)]
@@ -242,6 +282,21 @@ def test_slices_match_pushforward_reference(seed, ring):
 def test_arnold_slices_match_pushforward_reference(ring):
     assert_slices_match_references(arnold_presentation(2, ring), 6,
                                    random.Random(11))
+
+
+def test_relation_with_no_used_position_gets_one_column():
+    # 2 g0 - 2 g1 in degree 3 on two degree-0 generators: its pushforward
+    # along every injection [3] -> [n] is the same column
+    rel = FreeElement(3, {(0, Injection(0, 3, ())): 2,
+                          (1, Injection(0, 3, ())): -2})
+    for ring in (QQ, GF(3), ZZ):
+        p = FIPresentation(ring, [0, 0], [rel])
+        for n in range(8):
+            relmat = p.evaluate_slice(n).module.relations
+            assert relmat == Matrix(ring, 2, int(n >= 3),
+                                    {(0, 0): 2, (1, 0): -2} if n >= 3 else {})
+            assert_same_column_span(relmat, pushforward_slice_reference(p, n))
+        assert pushforward_slice_reference(p, 7).ncols == 210
 
 
 def test_shift_slices_match_pushforward_reference():
