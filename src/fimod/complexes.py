@@ -22,24 +22,22 @@ merge or coerce, through `Matrix.canonical`. A differential's offsets are
 its blocks' shape: every block of d_a is f_* from slice n-a to slice
 n-a+1, so no level needs building to place it.
 
-Homology takes one route over Q, F_p and Z. The slices are read in free
-coordinates (over Z every slice must be torsion-free), so level a becomes
-R^{r_a} and the differential L_a a matrix over R, lifted with no section as
-coords_{a-1} @ d_a from level a in ambient coordinates: those surject onto
-the slice, so the lift has the image of L_a. That image lies in the free
-module R^{r_{a-1}}, so ker L_a is a direct summand of R^{r_a} and
-coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a is therefore the cokernel of
-L_{a+1} with rank L_a taken off its free rank: one rank per differential
-over a field, one Smith form without transforms over Z.
+Homology is one theorem over Q, F_p and Z. Level a is C_a, C(n, a) copies
+of slice n-a; D_b is the ambient matrix of the differential out of level b
+and R_a the block relations of level a. When the levels are free (any
+field; over Z every slice must be torsion-free), im d_a lies in the free
+module C_{a-1}, so ker d_a is a direct summand of C_a and
+coker [D_{a+1} | R_a] = C_a / im d_{a+1} ≅ H_a ⊕ R^{rk d_a}. H_a is that
+cokernel's invariants with rk d_a taken off the free rank, and
+rk d_a = rk[D_a | R_{a-1}] - C(n, a-1) rk R_{n-a+1}: one rank per matrix
+over a field, one Smith form without transforms over Z. A level whose
+slice is zero contributes nothing, so no matrix touching it is built.
 
-When slices carry torsion over Z, `homology_field_table` gives the
-dimensions over Q and each F_p from the integer source alone, by ranks on
-quotients: rk d_a = rk[D_a | R_{a-1}] - C(n, a-1) rk R_{n-a+1}, with D_a
-the ambient differential and R_{a-1} the block relations of level a-1, and
-H_a = dim C_a - rk d_a - rk d_{a+1}. Each of those integer matrices is
-stripped of its unit pivots once over Z; that is a unimodular equivalence,
-exact after reduction modulo every p, so only the residue is ranked per
-field.
+When slices carry torsion over Z, `homology_field_table` reads the same
+ranks off the integer matrices for Q and each F_p, with
+H_a = dim C_a - rk d_a - rk d_{a+1}. Each integer matrix is stripped of
+its unit pivots once over Z; that is a unimodular equivalence, exact after
+reduction modulo every p, so only the residue is ranked per field.
 """
 from __future__ import annotations
 
@@ -193,45 +191,22 @@ class HomologyResult:
     positions: dict[int, Invariants]
 
 
-class _FreeSlices:
-    """A slice source read in the free coordinates of its slices: slice m
-    is the relation-free R^{r_m}, and f lifts once to coords_target @ M_f,
-    whose source is the ambient module of slice f.source. A differential
-    placed from these blocks therefore has free rows and ambient columns."""
-
-    def __init__(self, src):
-        self.ring = src.ring
-        self._src = src
-        self._slices: dict[int, PresentedModule] = {}
-        self._lifts: dict[Injection, Matrix] = {}
-
-    def slice_module(self, m: int) -> PresentedModule:
-        if m not in self._slices:
-            coords = self._src.slice_module(m).free_coordinates()
-            self._slices[m] = PresentedModule(self.ring, coords.nrows)
-        return self._slices[m]
-
-    def induced_matrix(self, f: Injection) -> Matrix:
-        if f not in self._lifts:
-            coords = self._src.slice_module(f.target).free_coordinates()
-            self._lifts[f] = coords @ self._src.induced_matrix(f)
-        return self._lifts[f]
+def _with_relations(src, b: int, n: int) -> Matrix:
+    """[D_b | R_{b-1}] at degree n, 1 <= b <= n: the ambient differential
+    out of level b beside the block relations of level b-1, C(n, b-1)
+    copies of the relations of slice n-b+1."""
+    return hstack([_differential_matrix(src, b, n), block_diagonal(
+        src.ring, [src.slice_module(n - b + 1).relations] * comb(n, b - 1))])
 
 
-def complex_homology(src, n: int, positions=None,
-                     _free: _FreeSlices | None = None) -> HomologyResult:
-    """Homology of the degree-n slice of the signed complex.
-
-    Every ring takes the route of the module docstring: with L_a the
-    differential in the free coordinates of the slices, lifted from the
-    ambient coordinates of level a (same image), im L_a lies in a free
-    module, so ker L_a is a direct summand and
-    coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. H_a has the torsion of
-    coker L_{a+1} and free rank r_a - rank L_a - rank L_{a+1}, where
-    r_a = C(n, a) r_{n-a} and rank L_a is read off coker L_a when a - 1 was
-    requested too. Over Z the slices must be torsion-free. Each L_b is
-    placed from lifted blocks, so no level is built. `_free` is the lifted
-    source to reuse, one per `find_N` call.
+def complex_homology(src, n: int, positions=None) -> HomologyResult:
+    """Homology of the degree-n slice of the signed complex, by the
+    theorem of the module docstring on every ring: H_a has the torsion of
+    coker [D_{a+1} | R_a] and its free rank less rk d_a. rk d_a is
+    rank C_{a-1} less the free rank of coker [D_a | R_{a-1}] when a - 1
+    was requested too, else read off one rank of [D_a | R_{a-1}]; rank C_a
+    is C(n, a) times the free rank of slice n-a. Over Z the slices must be
+    torsion-free.
     """
     ring = src.ring
     positions = _positions(n, positions)
@@ -242,17 +217,30 @@ def complex_homology(src, n: int, positions=None,
                     f"slice at degree {m} has torsion over Z; integer "
                     "homology supports free slices only - run field-wise "
                     "(Q and a prime list) instead")
-    free = _FreeSlices(src) if _free is None else _free
-    ranks = {0: 0}                     # b -> rank L_b, with L_0 = 0
+
+    def rank_of(a: int) -> int:        # rank of the free level C_a
+        return comb(n, a) * src.slice_module(n - a).invariants().free_rank \
+            if 0 <= a <= n else 0
+
+    def rank_d(b: int) -> int:         # rank of d_b: C_b -> C_{b-1}
+        if not rank_of(b) or not rank_of(b - 1):
+            return 0
+        rel = src.slice_module(n - b + 1)
+        return _with_relations(src, b, n).rank() - comb(n, b - 1) * (
+            rel.ambient - rel.invariants().free_rank)
+
+    ranks = {}                         # b -> rank of d_b
     out = {}
     for a in positions:
-        free_a = comb(n, a) * free.slice_module(n - a).ambient
-        image = _differential_matrix(free, a + 1, n) if a < n \
-            else Matrix.zero(ring, free_a, 0)
-        h = PresentedModule(ring, free_a, image).invariants()
-        ranks[a + 1] = free_a - h.free_rank
+        if not rank_of(a) or not rank_of(a + 1):
+            h = Invariants(rank_of(a))
+        else:
+            h = PresentedModule(ring, comb(n, a) * src.slice_module(n - a)
+                                .ambient, _with_relations(src, a + 1, n)) \
+                .invariants()
+        ranks[a + 1] = rank_of(a) - h.free_rank
         if a not in ranks:
-            ranks[a] = _differential_matrix(free, a, n).rank()
+            ranks[a] = rank_d(a)
         out[a] = Invariants(h.free_rank - ranks[a], h.torsion)
     return HomologyResult(n, "field" if ring.is_field else
                           "integer-free-slices", out)
@@ -265,11 +253,9 @@ def homology_field_table(src, n: int, primes, positions=None) -> dict:
     over Z, where the integer homology is not computed.
 
     Over a field k, level a is C(n, a) copies of V_{n-a} ⊗ k, the
-    cokernel of R_{n-a} ⊗ k, so dim C_a = C(n, a)(amb_{n-a} - rk R_{n-a}).
-    The differential d_a on quotients has image
-    span[D_a | R_{a-1}] / span R_{a-1}, with D_a its ambient matrix and
-    R_{a-1} the block relations of level a-1, C(n, a-1) copies of
-    R_{n-a+1}; so rk d_a = rk[D_a | R_{a-1}] - C(n, a-1) rk R_{n-a+1}, and
+    cokernel of R_{n-a} ⊗ k, so dim C_a = C(n, a)(amb_{n-a} - rk R_{n-a}),
+    and rk d_a = rk[D_a | R_{a-1}] - C(n, a-1) rk R_{n-a+1} as in
+    `complex_homology`, from the same matrices [D_b | R_{b-1}]; then
     H_a = dim C_a - rk d_a - rk d_{a+1}.
 
     Every rank is one integer matrix stripped of its unit pivots once over
@@ -298,12 +284,8 @@ def homology_field_table(src, n: int, primes, positions=None) -> dict:
         if not 1 <= b <= n:
             ranks[b] = dict.fromkeys((k.name for k in fields), 0)
             continue
-        copies = comb(n, b - 1)
-        both = _field_ranks(hstack([
-            _differential_matrix(src, b, n),
-            block_diagonal(src.ring, [src.slice_module(n - b + 1).relations]
-                           * copies)]), fields)
-        ranks[b] = {name: r - copies * rk_relations(n - b + 1)[name]
+        both = _field_ranks(_with_relations(src, b, n), fields)
+        ranks[b] = {name: r - comb(n, b - 1) * rk_relations(n - b + 1)[name]
                     for name, r in both.items()}
     table = {}
     for k in fields:
@@ -481,10 +463,8 @@ def find_N(src, n_max: int) -> FindNReport:
         raise ValueError("n_max must be >= 0")
     bad_h0 = []
     bad_h1 = []
-    free = _FreeSlices(src)
     for n in range(0, n_max + 1):
-        res = complex_homology(src, n, [a for a in (0, 1) if a <= n],
-                               _free=free)
+        res = complex_homology(src, n, [a for a in (0, 1) if a <= n])
         if not res.positions[0].is_zero:
             bad_h0.append(n)
         if 1 in res.positions and not res.positions[1].is_zero:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .injections import (Injection, count_injections, enumerate_injections,
+from .injections import (Injection, count_injections,
                          identity_injection, standard_inclusion)
 from .matrix import Matrix
 from .modules import (Invariants, ModuleMap, PresentedModule,
@@ -336,13 +336,18 @@ def saturate(d: int, generators: list[FreeElement], a_max: int,
     For each a, the stage spans pi(f_*(w)) over all generators w of the
     submodule and all injections of their degrees into [d]⊔[a new points]:
     the surviving terms are the bijections of [d], giving a submodule of
-    the d! dimensional degree-d slice of the ambient free module.
+    the d! dimensional degree-d slice of the ambient free module. Those
+    pushforwards span what the relation columns of slice d + a of M(d)
+    modulo the generators span (the used-positions argument of
+    `presentations`), so each stage reads that slice's relations on the
+    rows of [d].
     """
     if a_max < 0:
         raise ValueError("a_max must be >= 0")
     if slack < 1:
         raise ValueError("slack must be >= 1")
     ambient = FIPresentation(ring, [d]).evaluate_slice(d)
+    shifted = FIPresentation(ring, [d], generators)
     warnings = []
     for w in generators:
         if w.degree > d + a_max:
@@ -351,18 +356,13 @@ def saturate(d: int, generators: list[FreeElement], a_max: int,
                 f"{d + a_max}; it cannot map into any tested shift")
     stages = []
     for a in range(0, a_max + 1):
-        cols = []
-        for w in generators:
-            for f in enumerate_injections(w.degree, d + a):
-                pushed = w.pushforward(f)
-                # f_* is injective on terms, so no two land at one key
-                col = {}
-                for (gen, u), c in pushed.terms.items():
-                    c = ring.coerce(c)
-                    if c and all(v <= d for v in u.images):
-                        col[ambient.index[(gen, u.images)]] = c
-                if col:
-                    cols.append(col)
+        sl = shifted.evaluate_slice(d + a)
+        # the rows with images in [d] are the bijections of [d]
+        rows = {k: ambient.index[key] for key, k in sl.index.items()
+                if key in ambient.index}
+        cols = [{rows[r]: c for r, c in col.items() if r in rows}
+                for col in sl.module.relations.columns()]
+        cols = [col for col in cols if col]
         sub = SubmoduleOfQuotient(ambient.module, cols)
         stages.append(SaturationStage(a, sub, sub.invariants()))
     ascending = _ascending([stage.span for stage in stages])

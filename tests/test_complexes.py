@@ -6,8 +6,7 @@ import pytest
 
 import fimod.complexes
 from fimod.arnold import ArnoldModule
-from fimod.complexes import (_differential_matrix, _FreeSlices,
-                             check_inductive, complex_homology, differential,
+from fimod.complexes import (check_inductive, complex_homology, differential,
                              find_N, homology_field_table, homotopy_matrix,
                              ordered_shift_free_iso, ordered_shift_slice,
                              ordered_shift_structure_map, poset_colimit,
@@ -587,6 +586,75 @@ def test_find_N_examples():
     assert rep.nonzero_h0 == [0] and rep.nonzero_h1 == [1]
 
 
+HOMOLOGY_RINGS = [QQ, GF(3), ZZ]
+
+
+def free_coordinate_homology_reference(src, n):
+    """Homology of the degree-n slice complex by the free-coordinate lift.
+
+    Level a is read in the free coordinates of its slices, coords_a (the
+    rows of `free_coordinates`, once per label), and d_a lifts to
+    L_a = coords_{a-1} @ d_a from level a in ambient coordinates: those
+    surject onto the level, so L_a has the image of d_a. That image lies in
+    a free module, so coker L_{a+1} ≅ H_a ⊕ R^{rank L_a}. Over Z the slices
+    must be torsion-free.
+    """
+    ring = src.ring
+    coords = [block_diagonal(ring, [src.slice_module(n - a).free_coordinates()]
+                             * math.comb(n, a)) for a in range(n + 1)]
+    lifted = {a: coords[a - 1] @ differential(src, a, n).matrix
+              for a in range(1, n + 1)}
+    out = {}
+    for a in range(n + 1):
+        free = coords[a].nrows
+        h = PresentedModule(ring, free, lifted[a + 1] if a < n
+                            else Matrix.zero(ring, free, 0)).invariants()
+        out[a] = Invariants(h.free_rank - (lifted[a].rank() if a else 0),
+                            h.torsion)
+    return out
+
+
+@pytest.mark.parametrize("ring", HOMOLOGY_RINGS, ids=lambda r: r.name)
+def test_homology_matches_free_coordinate_reference(ring):
+    sources = [(ArnoldModule(m, ring), 5) for m in (0, 1, 2)]
+    for seed in (0, 1, 2):
+        sources += [(instantiate(s, ring), 4) for s in seeded_structures(
+            seed, 20, max_generators=3, max_relations=3)]
+    checked = with_relations = 0
+    for src, n_max in sources:
+        for n in range(n_max + 1):
+            if not torsion_free_up_to(src, n):
+                break
+            reference = free_coordinate_homology_reference(src, n)
+            assert complex_homology(src, n).positions == reference, (src, n)
+            # rk d_a read off one rank when a - 1 is not requested
+            some = [a for a in range(n + 1) if a % 2 == n % 2]
+            assert complex_homology(src, n, some).positions == \
+                {a: reference[a] for a in some}, (src, n)
+            checked += 1
+            with_relations += any(not src.slice_module(m).relations.is_zero()
+                                  for m in range(n + 1))
+    assert checked >= 150 and with_relations >= 50
+
+
+@pytest.mark.parametrize("ring", HOMOLOGY_RINGS, ids=lambda r: r.name)
+def test_homology_reads_no_free_coordinates(monkeypatch, ring):
+    def refuse(self):
+        raise AssertionError("homology read free coordinates")
+
+    monkeypatch.setattr(PresentedModule, "free_coordinates", refuse)
+    sources = [free_presentation(ring, 1), ArnoldModule(2, ring)] + [
+        instantiate(s, ring) for s in seeded_structures(
+            1, 12, max_generators=3, max_relations=3)]
+    ran = 0
+    for src in sources:
+        if torsion_free_up_to(src, 4):
+            find_N(src, 4)
+            for n in range(5):
+                complex_homology(src, n)
+            ran += 1
+    assert ran >= 8
+
 
 class CountingSource:
     """A slice source that records every injection it is asked to push
@@ -605,15 +673,35 @@ class CountingSource:
         return self._src.induced_matrix(f)
 
 
-@pytest.mark.parametrize("src", [
-    free_presentation(QQ, 2), free_presentation(ZZ, 1),
-    torsion_module(GF(3)),
-    *(instantiate(s, GF(2)) for s in seeded_structures(1, 3))])
-def test_find_N_lifts_each_injection_once(src):
-    counting = CountingSource(src)
-    assert find_N(counting, 5) == find_N(src, 5)
-    assert counting.pushed
-    assert len(counting.pushed) == len(set(counting.pushed))
+def zero_slice_sources(ring):
+    """M(0)/(-3, 2), zero in every degree, and M(1) modulo e_1 - 2·e_2 in
+    degree 3, free of ranks 0, 1, 2 in degrees 0..2 and zero from 3 on."""
+    g = (0, Injection(0, 0, ()))
+    every = FIPresentation(ring, [0], [FreeElement(0, {g: -3}),
+                                       FreeElement(0, {g: 2})])
+    high = FIPresentation(ring, [1], [FreeElement(3, {
+        (0, Injection(1, 3, (1,))): 1, (0, Injection(1, 3, (2,))): -2})])
+    return [every, high]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2), GF(3), ZZ], ids=lambda r: r.name)
+def test_homology_builds_no_block_at_a_zero_level(ring):
+    reference = lattice_homology_reference if ring is ZZ \
+        else ambient_homology_reference
+    pushed = 0
+    for src in zero_slice_sources(ring):
+        zero = {m for m in range(7) if src.slice_module(m).is_zero_module()}
+        for n in range(7):
+            counting = CountingSource(src)
+            assert complex_homology(counting, n).positions == \
+                reference(src, n), (src, n)
+            find_N(counting, n)
+            assert not [f for f in counting.pushed
+                        if {f.source, f.target} & zero], (src, n)
+            pushed += len(counting.pushed)
+    # M(1) modulo e_1 - 2·e_2 still pushes between its free slices 1 and 2
+    assert pushed
+
 
 def test_ordered_shift_free_iso_naturality():
     rng = random.Random(23)
@@ -776,34 +864,6 @@ def test_slice_complex_builds_each_level_once(monkeypatch, n):
     cx = slice_complex(free_presentation(QQ, 1), n)
     assert sorted(built) == [(a, n) for a in range(n + 1)]
     assert cx.check_square_zero()
-
-
-def assert_lifted_differentials(src, n_max):
-    """The differential placed from lifted blocks is coords @ d: the free
-    coordinates of slice n-a+1, once per label of level a-1, after the
-    ambient differential."""
-    free = _FreeSlices(src)
-    for n in range(1, n_max + 1):
-        for a in range(1, n + 1):
-            coords = src.slice_module(n - a + 1).free_coordinates()
-            expected = block_diagonal(
-                src.ring, [coords] * math.comb(n, a - 1)) @ \
-                differential(src, a, n).matrix
-            assert _differential_matrix(free, a, n) == expected, (a, n)
-
-
-@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ])
-def test_lifted_differential_is_coords_after_ambient(ring):
-    checked = with_relations = 0
-    for struct in seeded_structures(4, 30, max_generators=3, max_relations=3):
-        src = instantiate(struct, ring)
-        if torsion_free_up_to(src, 4):
-            assert_lifted_differentials(src, 4)
-            checked += 1
-            with_relations += any(not src.slice_module(m).relations.is_zero()
-                                  for m in range(5))
-    assert checked >= 15 and with_relations >= 5
-    assert_lifted_differentials(ArnoldModule(2, ring), 5)
 
 
 def poset_colimit_reference(src, n, cutoff, mode):

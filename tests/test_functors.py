@@ -334,6 +334,44 @@ def test_saturation_immediate_cases():
     assert rep.stages[0].invariants.free_rank == 1
 
 
+def saturation_stage_reference(d, generators, a, ring):
+    """Stage a by the hand loop: every generator pushed along every
+    injection of its degree into [d + a], kept on the rows of [d]."""
+    from fimod.injections import enumerate_injections
+    ambient = FIPresentation(ring, [d]).evaluate_slice(d)
+    cols = []
+    for w in generators:
+        for f in enumerate_injections(w.degree, d + a):
+            col = {ambient.index[(gen, u.images)]: ring.coerce(c)
+                   for (gen, u), c in w.pushforward(f).terms.items()
+                   if ring.coerce(c) and all(v <= d for v in u.images)}
+            if col:
+                cols.append(col)
+    return SubmoduleOfQuotient(ambient.module, cols)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), ZZ], ids=lambda r: r.name)
+def test_saturation_stages_match_pushforward_reference(ring):
+    rng = random.Random(31)
+    grew = 0
+    for _ in range(12):
+        d = rng.randint(1, 2)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            e = rng.randint(d, d + 2)
+            gens.append(FreeElement(e, {
+                (0, Injection(d, e, tuple(rng.sample(range(1, e + 1), d)))):
+                rng.choice([-3, -2, -1, 1, 2, 3])
+                for _ in range(rng.randint(1, 3))}))
+        rep = saturate(d, gens, 3, 1, ring)
+        for stage in rep.stages:
+            ref = saturation_stage_reference(d, gens, stage.amount, ring)
+            assert stage.span.same_span_as(ref), (d, gens, stage.amount)
+            assert stage.invariants == ref.invariants()
+        grew += rep.stages[0].invariants != rep.stages[-1].invariants
+    assert grew >= 3
+
+
 def test_saturation_warns_on_unreachable_generators():
     deep = FreeElement(5, {(0, Injection(1, 5, (3,))): 1})
     rep = saturate(1, [deep], 2, 1, QQ)
